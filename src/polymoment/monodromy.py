@@ -4,10 +4,12 @@ The preimage of a star (a basepoint c joined to every finite critical value
 by non-crossing arcs) under a degree-n polynomial P is a planar tree: n
 "star" centers, one per inverse branch, and colored vertices, one per cycle
 of the local permutation at each critical value.  Loops around the critical
-values are tracked numerically (adaptive stepping with a Newton corrector on
-the full fiber) to produce the permutations g_1..g_k and the loop around
-infinity; branches are then relabeled so that the infinity permutation is
-exactly (1 2 ... n).
+values are tracked numerically to produce the permutations g_1..g_k and the
+loop around infinity: an Euler predictor and a Newton corrector capped at 8
+updates act on the full fiber, the step doubles after an accepted step and
+halves after a rejected one, and P, P' and the rounding floor come from one
+fused power-table kernel.  Branches are then relabeled so that the infinity
+permutation is exactly (1 2 ... n).
 
 Conventions, fixed once and verified by the branch-consistency tests:
 permutations compose left-to-right, loops around finite values run
@@ -37,14 +39,19 @@ from .errors import (
     TreeViolation,
     VertexMismatch,
 )
+from . import poly as _poly
 from .permgroup import Permutation, full_cycle, identity
 from .poly import ComplexPoly, derivative, roots
 
 # tracking accuracy feeds the sampled branch relations of the verifier, whose
 # tolerance is 1e-9; the corrector is quadratic, so a tight target is cheap
 TOL_TRACK = 1e-12
-TOL_CLUSTER = 1e-8
 CIRCLE_SEGMENTS = 32
+# step control: a corrector still short of its tolerance after CORRECTOR_ITERS
+# Newton updates started from a far-off predictor, and halving the step is
+# cheaper than letting it crawl back; each accepted step grows the next one
+CORRECTOR_ITERS = 8
+STEP_GROWTH = 2.0
 
 
 @dataclass(frozen=True)
@@ -174,7 +181,7 @@ def critical_data(
     Returns (values, supplemented_flags), ordered counterclockwise by angle
     around the basepoint the sweep would choose.
     """
-    tol_cluster = TOL_CLUSTER if tol_cluster is None else tol_cluster
+    tol_cluster = _poly.TOL_CLUSTER if tol_cluster is None else tol_cluster
     if P.degree < 2:
         raise DegenerateInput("deg P must be >= 2")
     if abs(a - b) <= 1e-13 * (1 + abs(a) + abs(b)):
@@ -199,13 +206,21 @@ def critical_data(
 
 
 def _poly_arrays(P: ComplexPoly):
-    return np.array(P.coeffs), np.array(derivative(P).coeffs)
+    c = np.array(P.coeffs)
+    return c, np.array(derivative(P).coeffs), np.abs(c)
 
-def _ev(coeffs, w):
-    acc = np.zeros_like(w)
-    for c in coeffs[::-1]:
-        acc = acc * w + c
-    return acc
+
+def _power_sums(c, dc, ac, w):
+    """P(w), P'(w) and sum_j |c_j| |w|^j from one table of powers of w.
+
+    Row i of the table is 1, w_i, w_i^2, ...; the magnitude sum times eps
+    bounds the rounding error of P(w), so it sets the correctors' floor.
+    """
+    V = np.empty((len(w), len(c)), dtype=complex)
+    V[:, 0] = 1.0
+    V[:, 1:] = w[:, None]
+    np.cumprod(V, axis=1, out=V)
+    return V @ c, V[:, :-1] @ dc, np.abs(V) @ ac
 
 
 def _min_sep(w) -> float:
@@ -214,43 +229,39 @@ def _min_sep(w) -> float:
     return float(d.min())
 
 
-def _horner_floor(coeffs, w, z):
-    """Per-branch achievable residual: eps times the Horner magnitude sum."""
-    acc = np.zeros(w.shape, dtype=float)
-    aw = np.abs(w)
-    for c in coeffs[::-1]:
-        acc = acc * aw + abs(c)
-    return 64e-16 * (acc + np.abs(z))
+def _correct(arrays, z, w, tol_abs):
+    """Newton on P(w) = z for every branch: (w, P'(w), converged).
 
-
-def _newton(coeffs, dcoeffs, z, w, tol_abs, iters=60):
-    tol = tol_abs + _horner_floor(coeffs, w, z)
-    for _ in range(iters):
-        pv = _ev(coeffs, w) - z
-        if np.all(np.abs(pv) <= tol):
-            return w, True
-        dv = _ev(dcoeffs, w)
-        if np.any(dv == 0):
-            return w, False
-        w = w - pv / dv
-    return w, np.all(np.abs(_ev(coeffs, w) - z) <= tol)
+    The tolerance tol_abs + 64 eps (sum_j |c_j| |w|^j + |z|) is taken at the
+    predictor; at most CORRECTOR_ITERS updates are made.
+    """
+    pv, dv, mag = _power_sums(*arrays, w)
+    tol = tol_abs + 64e-16 * (mag + abs(z))
+    for _ in range(CORRECTOR_ITERS):
+        r = pv - z
+        if (np.abs(r) <= tol).all():
+            return w, dv, True
+        if not dv.all():
+            return w, dv, False
+        w = w - r / dv
+        pv, dv, _ = _power_sums(*arrays, w)
+    return w, dv, bool((np.abs(pv - z) <= tol).all())
 
 
 def polish_fiber(P: ComplexPoly, z: complex, w, iters: int = 40):
     """Newton-polish approximate fiber values down to the machine floor."""
-    coeffs, dcoeffs = _poly_arrays(P)
+    arrays = _poly_arrays(P)
     w = np.array(w, dtype=complex)
-    floor = _horner_floor(coeffs, w, z)
+    pv, dv, mag = _power_sums(*arrays, w)
+    floor = 64e-16 * (mag + abs(z))
     for _ in range(iters):
-        pv = _ev(coeffs, w) - z
-        if np.all(np.abs(pv) <= floor):
+        if (np.abs(pv - z) <= floor).all():
             break
-        dv = _ev(dcoeffs, w)
-        dv = np.where(dv == 0, 1e-300, dv)
-        step = pv / dv
+        step = (pv - z) / np.where(dv == 0, 1e-300, dv)
         w = w - step
         if float(np.max(np.abs(step))) <= 1e-16 * float(np.max(np.abs(w)) + 1):
             break
+        pv, dv, _ = _power_sums(*arrays, w)
     return w
 
 
@@ -263,45 +274,48 @@ def continue_branches(
 ):
     """Continue the full fiber of P along a polyline of sample points.
 
-    Each straight piece is stepped adaptively: Euler predictor, Newton
-    corrector on every branch, with the step halved whenever the corrector
-    stalls or any branch moves by more than a third of the current minimal
-    branch separation (which would make the implicit matching ambiguous).
-    Raises TrackingFailure when halving bottoms out, which happens only if
-    the path passes essentially through a critical value.
+    Each straight piece z0 -> z1 is stepped in its parameter t in [0, 1]:
+    Euler predictor (with P' of the last accepted fiber), then at most
+    CORRECTOR_ITERS Newton updates on every branch.  A step is rejected and
+    its length halved when the corrector misses the tolerance or any branch
+    moves by more than a third of the current minimal branch separation
+    (which would make the implicit matching ambiguous); after an accepted
+    step the length grows by STEP_GROWTH.  Raises TrackingFailure when
+    halving bottoms out, which happens only if the path passes essentially
+    through a critical value.
 
     With record_at = list of indices into `path`, also returns the fiber at
     those waypoints.
     """
     tol_track = TOL_TRACK if tol_track is None else tol_track
-    coeffs, dcoeffs = _poly_arrays(P)
-    scale = P.coeff_scale()
+    arrays = _poly_arrays(P)
+    sep_floor = 1e-12 * (1 + P.coeff_scale())
     w = np.array(start, dtype=complex)
+    _, dv, _ = _power_sums(*arrays, w)
+    sep = _min_sep(w)
     recorded = {}
     if record_at is not None and 0 in record_at:
         recorded[0] = w.copy()
     for seg in range(len(path) - 1):
         z0, z1 = complex(path[seg]), complex(path[seg + 1])
-        stack = [(z0, z1)]
-        while stack:
-            za, zb = stack.pop()
-            tol_abs = tol_track * (abs(zb) + 1.0)
-            sep = _min_sep(w)
-            dv = _ev(dcoeffs, w)
+        t, h, za = 0.0, 1.0, z0
+        while t < 1.0:
+            tb = min(t + h, 1.0)
+            zb = z1 if tb == 1.0 else z0 + tb * (z1 - z0)
             pred = w + (zb - za) / np.where(dv == 0, 1e-300, dv)
-            w_new, ok = _newton(coeffs, dcoeffs, zb, pred, tol_abs)
-            if ok:
-                move = float(np.max(np.abs(w_new - w)))
-                if move <= 0.34 * sep and _min_sep(w_new) >= 1e-12 * (1 + scale):
-                    w = w_new
+            w_new, dv_new, ok = _correct(arrays, zb, pred, tol_track * (abs(zb) + 1.0))
+            if ok and float(np.max(np.abs(w_new - w))) <= 0.34 * sep:
+                sep_new = _min_sep(w_new)
+                if sep_new >= sep_floor:
+                    w, dv, sep = w_new, dv_new, sep_new
+                    t, za = tb, zb
+                    h *= STEP_GROWTH
                     continue
             if abs(zb - za) <= 1e-14 * (1.0 + abs(za) + abs(zb)):
                 raise TrackingFailure(
                     f"step control collapsed near z = {za:.6g}"
                 )
-            mid = 0.5 * (za + zb)
-            stack.append((mid, zb))
-            stack.append((za, mid))
+            h = 0.5 * (tb - t)
         if record_at is not None and (seg + 1) in record_at:
             recorded[seg + 1] = w.copy()
     if record_at is not None:
@@ -565,7 +579,7 @@ def build_cactus(md: MonodromyData, P: ComplexPoly, a: complex, b: complex) -> C
     permutation.  The circular-separation law for V(a), V(b) is checked on
     every build.
     """
-    radius = TOL_CLUSTER * (1.0 + max(abs(v) for v in md.critical_values))
+    radius = _poly.TOL_CLUSTER * (1.0 + max(abs(v) for v in md.critical_values))
 
     def color_of(w: complex) -> int:
         ds = [abs(w - v) for v in md.critical_values]

@@ -87,22 +87,6 @@ class ComplexPoly:
         """Max coefficient magnitude (1.0 for the zero polynomial)."""
         return max((abs(c) for c in self.coeffs), default=1.0) or 1.0
 
-    def trimmed(self, tol: float) -> "ComplexPoly":
-        """Drop trailing coefficients of magnitude <= tol (noise cleanup)."""
-        cs = list(self.coeffs)
-        while cs and abs(cs[-1]) <= tol:
-            cs.pop()
-        return ComplexPoly(cs)
-
-    def monic_shifted(self) -> "ComplexPoly":
-        """The normalization (p - p(0)) / lc: monic with zero constant term."""
-        if self.degree < 1:
-            raise DegreeTooLow("constant polynomial has no monic normalization")
-        lc = self.leading
-        cs = [c / lc for c in self.coeffs]
-        cs[0] = 0.0
-        return ComplexPoly(cs)
-
 
 X = ComplexPoly([0, 1])
 

@@ -187,12 +187,6 @@ def matrix_rank(rows) -> int:
     return len(_rref([[Fraction(x) for x in r] for r in rows]))
 
 
-def matrix_apply(mat, v) -> RationalVector:
-    """Exact matrix-vector product, mat as nested sequences of Fractions."""
-    v = vec(v)
-    return tuple(sum((Fraction(a) * x for a, x in zip(row, v)), Fraction(0)) for row in mat)
-
-
 def vector_to_json(v) -> list[str]:
     return [f"{x.numerator}/{x.denominator}" for x in vec(v)]
 

@@ -1,8 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import polymoment
 from polymoment.cli import _TOL_TARGETS, main
 from polymoment.poly import chebyshev, poly_to_json
 
@@ -124,10 +129,14 @@ def test_tolerance_override_recorded(tmp_path):
 def test_console_entry_point(tmp_path):
     inp = tmp_path / "job.json"
     inp.write_text(json.dumps(t6_job("analyze", with_q=False)))
+    # the child imports the same package as this process, installed or not
+    src = str(Path(polymoment.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "polymoment.cli", "--input", str(inp)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
@@ -153,3 +162,22 @@ def test_tolerance_override_changes_behavior(tmp_path):
     code, rep = run_cli(tmp_path, t6_job("verify"), extra=("--tol-moment", "1e-30"))
     assert code == 2
     assert rep["report"]["verdict"] is False
+
+
+def test_tol_cluster_reaches_monodromy(tmp_path, monkeypatch):
+    # --tol-cluster must set the radius of the critical-value clustering in
+    # monodromy, not only the root clustering in poly
+    mono = sys.modules["polymoment.monodromy"]  # the package attribute is a function
+    seen = []
+    cluster = mono._cluster_values
+
+    def spy(vals, radius):
+        seen.append((radius, max(abs(v) for v in vals)))
+        return cluster(vals, radius)
+
+    monkeypatch.setattr(mono, "_cluster_values", spy)
+    code, rep = run_cli(tmp_path, t6_job("analyze", with_q=False), extra=("--tol-cluster", "1e-6"))
+    assert code == 0
+    assert rep["options"]["tolerances"]["tol-cluster"] == 1e-6
+    assert seen
+    assert all(r == pytest.approx(1e-6 * (1.0 + top)) for r, top in seen)

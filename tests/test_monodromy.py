@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymoment.errors import DegenerateInput, TreeViolation
 from polymoment.monodromy import (
@@ -15,9 +17,11 @@ from polymoment.monodromy import (
     monodromy,
     multiplicity_at,
     tree_path,
+    _poly_arrays,
+    _power_sums,
 )
 from polymoment.permgroup import from_cycles, full_cycle, identity
-from polymoment.poly import ComplexPoly, chebyshev
+from polymoment.poly import ComplexPoly, chebyshev, compose, derivative, eval_many
 
 SQ3 = math.sqrt(3)
 T6 = chebyshev(6)
@@ -235,3 +239,95 @@ def test_fiber_accuracy_at_chebyshev_scale():
     md = monodromy(t24, -math.cos(math.pi / 6), math.cos(math.pi / 6))
     resid = max(abs(t24(w) - md.base_point) for w in md.fiber)
     assert resid < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the fused P/P' kernel and pinned tracking results
+# ---------------------------------------------------------------------------
+
+
+_points = st.lists(
+    st.tuples(st.floats(0.1, 10.0), st.floats(0.0, 2 * math.pi)), min_size=1, max_size=8
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    coeffs=st.lists(
+        st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3), min_size=2, max_size=49
+    ),
+    points=_points,
+)
+def test_power_sums_match_horner(coeffs, points):
+    P = ComplexPoly(coeffs)
+    dP = derivative(P)
+    w = np.array([r * np.exp(1j * t) for r, t in points])
+    pv, dv, mag = _power_sums(*_poly_arrays(P), w)
+
+    def magnitude_sum(p):
+        return sum(abs(c) * np.abs(w) ** j for j, c in enumerate(p.coeffs))
+
+    # each value within 64 eps of its own polynomial's magnitude sum, the
+    # floor the correctors accept
+    exact = magnitude_sum(P)
+    assert np.all(np.abs(pv - eval_many(P, w)) <= 64e-16 * exact)
+    assert np.all(np.abs(dv - eval_many(dP, w)) <= 64e-16 * magnitude_sum(dP))
+    # |w^j| from the power table vs |w|^j: equal up to j roundings
+    assert np.all(np.abs(mag - exact) <= 4 * len(coeffs) * np.finfo(float).eps * exact)
+
+
+def _composite_6x3():
+    """A(B(z)) with deg A = 6, deg B = 3, B(a) = B(b); fixed coefficients."""
+    a, b = -0.75, 0.625
+    beta = 0.25 + 0.5j
+    gamma = -(a * a + a * b + b * b) - beta * (a + b)
+    B = ComplexPoly([0, gamma, beta, 1])
+    A = ComplexPoly([0.5, -1.25 + 0.5j, 0.75, 0.5 - 0.25j, -1.0, 0.25j, 1.0])
+    return compose(A, B), a, b
+
+
+# Recorded at commit d5334e3, whose tracker evaluated P by Horner's scheme,
+# could only halve its step and ran up to 60 Newton iterations.  Any change
+# to the tracking must reproduce these exactly (seed 0).
+_T6_GENS = [[2, 1, 6, 5, 4, 3], [1, 6, 5, 4, 3, 2]]
+_T12_GENS = [
+    [2, 1, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3],
+    [1, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2],
+]
+_T24_GENS = [
+    [2, 1, 24, 23, 22, 21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3],
+    [1, 24, 23, 22, 21, 20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2],
+]
+_C6X3_GENS = [
+    [1, 2, 3, 4, 6, 5, 7, 8, 9, 10, 12, 11, 13, 14, 15, 16, 18, 17],
+    [1, 2, 3, 6, 5, 4, 7, 8, 9, 12, 11, 10, 13, 14, 15, 18, 17, 16],
+    [1, 2, 6, 4, 5, 3, 7, 8, 12, 10, 11, 9, 13, 14, 18, 16, 17, 15],
+    [1, 2, 3, 4, 5, 18, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 6],
+    [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18],
+    [1, 2, 3, 4, 5, 12, 7, 8, 9, 10, 11, 6, 13, 14, 15, 16, 17, 18],
+    [1, 18, 3, 4, 5, 8, 7, 6, 9, 10, 11, 14, 13, 12, 15, 16, 17, 2],
+    [18, 2, 3, 4, 5, 7, 6, 8, 9, 10, 11, 13, 12, 14, 15, 16, 17, 1],
+]
+GOLDEN = {
+    "T6": (_T6_GENS, [1, 2], [4, 5]),
+    "T12": (_T12_GENS, [2, 12], [6, 8]),
+    "T24": (_T24_GENS, [3, 23], [11, 15]),
+    "C6x3": (_C6X3_GENS, [18], [12]),
+}
+
+
+def _golden_case(name):
+    if name == "C6x3":
+        return _composite_6x3()
+    return chebyshev(int(name[1:])), -SQ3 / 2, SQ3 / 2
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_monodromy(name):
+    P, a, b = _golden_case(name)
+    gens, V_a, V_b = GOLDEN[name]
+    md = monodromy(P, a, b)
+    cac = build_cactus(md, P, a, b)
+    assert [list(g.images) for g in md.generators] == gens
+    assert md.g_inf.images == full_cycle(P.degree).images
+    assert list(cac.V_a) == V_a and list(cac.V_b) == V_b
