@@ -21,7 +21,6 @@ from .monodromy import (
     continue_branches,
     critical_data,
     f_vectors,
-    monodromy,
     tree_path,
 )
 from .permgroup import (
@@ -33,6 +32,7 @@ from .permgroup import (
     full_divisor_lattice,
     make_lattice,
     minimal_projectors,
+    piece_of,
     rational_closure,
     schur_structure_constants,
     sigma_projector,
@@ -74,7 +74,6 @@ from .solver import (
     ProblemInstance,
     ReducibleSummand,
     build_instance,
-    decompose_M,
     decompose_solution,
     double_decompositions,
     exists_nonzero_solution,

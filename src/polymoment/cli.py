@@ -11,25 +11,18 @@ malformed input.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
+import os
 import sys
+import traceback
 
-from . import __version__
-
-# attribute access on the package would hit the re-exported functions
-# (e.g. polymoment.monodromy is a function); resolve the modules directly
-_monodromy_mod = importlib.import_module("polymoment.monodromy")
-_poly_mod = importlib.import_module("polymoment.poly")
-_series_mod = importlib.import_module("polymoment.series")
-_solver_mod = importlib.import_module("polymoment.solver")
+from . import __version__, monodromy, poly, series, solver
 from .errors import MalformedInput, MomentProblemError, NotASolution
 from .permgroup import lattice_to_json, perm_to_json
 from .poly import ComplexPoly, chebyshev, poly_from_json, poly_to_json
 from .rational import vector_to_json
 from .solver import (
     build_instance,
-    decompose_M,
     decompose_solution,
     double_decompositions,
     exists_nonzero_solution,
@@ -37,20 +30,19 @@ from .solver import (
     reducible_generators,
 )
 
-# --tol-* flag -> (module, attribute); overrides are process-local, which is
-# sound here: the CLI runs exactly one job per process
+# --tol-* flag -> (module, attribute); an override holds for one job and is
+# restored when the job ends
 _TOL_TARGETS = {
-    "tol-root": (_poly_mod, "TOL_ROOT"),
-    "tol-cluster": (_poly_mod, "TOL_CLUSTER"),
-    "tol-decomp": (_poly_mod, "TOL_DECOMP"),
-    "tol-track": (_monodromy_mod, "TOL_TRACK"),
-    "tol-moment": (_series_mod, "TOL_MOMENT"),
-    "tol-phi": (_series_mod, "TOL_PHI"),
-    "tol-support": (_series_mod, "TOL_SUPPORT"),
-    "tol-orth": (_series_mod, "TOL_ORTH"),
-    "tol-recover": (_series_mod, "TOL_RECOVER"),
-    "tol-point": (_solver_mod, "TOL_POINT_FACTOR"),
-    "tol-block": (_solver_mod, "TOL_BLOCK"),
+    "tol-root": (poly, "TOL_ROOT"),
+    "tol-cluster": (poly, "TOL_CLUSTER"),
+    "tol-decomp": (poly, "TOL_DECOMP"),
+    "tol-track": (monodromy, "TOL_TRACK"),
+    "tol-moment": (series, "TOL_MOMENT"),
+    "tol-phi": (series, "TOL_PHI"),
+    "tol-support": (series, "TOL_SUPPORT"),
+    "tol-recover": (series, "TOL_RECOVER"),
+    "tol-point": (solver, "TOL_POINT_FACTOR"),
+    "tol-block": (solver, "TOL_BLOCK"),
 }
 
 
@@ -99,7 +91,7 @@ def run_analyze(job: dict, opts: dict) -> tuple[dict, int]:
         "f_vectors": [list(v) for v in inst.fv],
         "lattice": lattice_to_json(inst.D),
         "D": list(inst.D.divisors),
-        "S": sorted(decompose_M(inst)),
+        "S": sorted(inst.S),
         "i_P": inst.imprimitivity_count,
         "M_dim": inst.M.dim,
         "M_basis": [vector_to_json(row) for row in inst.M.basis],
@@ -165,7 +157,7 @@ def run_selftest(job: dict, opts: dict) -> tuple[dict, int]:
 
     t6 = chebyshev(6)
     results["chebyshev_composition"] = (
-        _poly_mod.compose(chebyshev(3), chebyshev(2)).coeffs == t6.coeffs
+        poly.compose(chebyshev(3), chebyshev(2)).coeffs == t6.coeffs
     )
 
     import math
@@ -233,15 +225,20 @@ def run_job(job: dict, args) -> tuple[dict, int]:
     if opts["truncation"] is not None:
         opts["truncation"] = int(opts["truncation"])
     applied_tols = {}
-    for flag, (mod, attr) in _TOL_TARGETS.items():
-        key = flag.replace("-", "_")
-        val = getattr(args, key, None)
-        if val is None:
-            val = job_opts.get(flag)
-        if val is not None:
-            setattr(mod, attr, float(val))
-        applied_tols[flag] = getattr(mod, attr)
-    body, code = _COMMANDS[command](job, opts)
+    saved = []
+    try:
+        for flag, (mod, attr) in _TOL_TARGETS.items():
+            val = getattr(args, flag.replace("-", "_"), None)
+            if val is None:
+                val = job_opts.get(flag)
+            if val is not None:
+                saved.append((mod, attr, getattr(mod, attr)))
+                setattr(mod, attr, float(val))
+            applied_tols[flag] = getattr(mod, attr)
+        body, code = _COMMANDS[command](job, opts)
+    finally:
+        for mod, attr, val in saved:
+            setattr(mod, attr, val)
     report = {
         "version": __version__,
         "command": command,
@@ -264,9 +261,7 @@ def main(argv=None) -> int:
         job = json.loads(text) if text.strip() else {}
         if not isinstance(job, dict):
             raise MalformedInput("job must be a JSON object")
-    except MalformedInput:
-        raise SystemExit(64)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (MalformedInput, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "MalformedInput", "detail": str(exc)}), file=sys.stderr)
         return 64
 
@@ -275,11 +270,13 @@ def main(argv=None) -> int:
     except MalformedInput as exc:
         print(json.dumps({"error": "MalformedInput", "detail": str(exc)}), file=sys.stderr)
         return 64
-    except MomentProblemError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
-            file=sys.stderr,
-        )
+    except Exception as exc:
+        detail = str(exc)
+        if not isinstance(exc, MomentProblemError):
+            # an internal fault: name where it was raised instead of a traceback
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            detail += f" ({os.path.basename(where.filename)}:{where.lineno} in {where.name})"
+        print(json.dumps({"error": type(exc).__name__, "detail": detail}), file=sys.stderr)
         return 1
 
     text = json.dumps(report, sort_keys=True, indent=2)

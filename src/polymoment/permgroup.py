@@ -355,6 +355,18 @@ def minimal_projectors(lattice: DivisorLattice) -> dict[int, tuple]:
     }
 
 
+def piece_of(lattice: DivisorLattice, k: int) -> int:
+    """The divisor d whose piece U_d holds the frequency k (mod n).
+
+    Frequency k lies in V_d iff (n/d) | k, i.e. iff n/gcd(k, n) divides d;
+    the smallest such d in the lattice is well defined because the lattice
+    is gcd-closed and contains n.
+    """
+    n = lattice.n
+    m = n // math.gcd(k, n)
+    return min(d for d in lattice.divisors if d % m == 0)
+
+
 def u_dimension(lattice: DivisorLattice, d: int) -> int:
     """dim U_d = dim V_d minus the dimension of the sum of covered V_f.
 

@@ -14,7 +14,10 @@ inverse branch and are recovered by leading-term elimination.
 The vanishing verifier combines three independent views of the same
 condition: quadrature moments along [a, b], sampled linear relations among
 branch values for every vector of the invariant subspace, and orthogonality
-of the twist vectors of all live series indices to that subspace.
+of the twist vectors of all live series indices to that subspace.  The last
+view is exact: the twist vector of index k lies in the single piece U_d
+that holds frequency k, so it is orthogonal to the subspace iff that d is
+not in the subspace's divisor set.
 """
 
 from __future__ import annotations
@@ -32,13 +35,13 @@ from .errors import (
     TruncationTooShort,
 )
 from .monodromy import Cactus, MonodromyData, continue_branches
+from .permgroup import DivisorLattice, piece_of
 from .poly import ComplexPoly, derivative, eval_many
 from .rational import RationalSubspace
 
 TOL_MOMENT = 1e-9
 TOL_PHI = 1e-9
 TOL_SUPPORT = 1e-9
-TOL_ORTH = 1e-9
 TOL_RECOVER = 1e-8
 
 
@@ -404,12 +407,13 @@ def verify_vanishing(
     fvectors,
     M: RationalSubspace,
     md: MonodromyData,
+    D: DivisorLattice,
+    S: frozenset[int],
     I: int = 25,
     N: int | None = None,
     tol_moment: float | None = None,
     tol_phi: float | None = None,
     tol_support: float | None = None,
-    tol_orth: float | None = None,
 ) -> MomentReport:
     """Run the three equivalent vanishing checks and report.
 
@@ -417,12 +421,13 @@ def verify_vanishing(
     sampled branch relation sum_i v_i Q(P_i^-1) vanishes on a ray for every
     color vector and every basis vector of the invariant subspace; (iii) for
     every live series index k the twist vector (eps^(k(i-1)))_i is orthogonal
-    to the subspace.  The verdict is the conjunction.
+    to the subspace M = sum of U_d over the divisor set S of the lattice D.
+    View (iii) is exact: index k violates it iff the piece holding frequency
+    k (`permgroup.piece_of`) is in S.  The verdict is the conjunction.
     """
     tol_moment = TOL_MOMENT if tol_moment is None else tol_moment
     tol_phi = TOL_PHI if tol_phi is None else tol_phi
     tol_support = TOL_SUPPORT if tol_support is None else tol_support
-    tol_orth = TOL_ORTH if tol_orth is None else tol_orth
     n = P.degree
     Qn = Q - Q(a)
     moments, scales = quadrature_moments(P, Qn, a, b, I, with_scales=True)
@@ -458,15 +463,7 @@ def verify_vanishing(
         w = puiseux_inverse(range_rescaled(P, md), N)
         series = q_of_inverse(Qn, w)
         support = series.support(tol=tol_support)
-    eps = np.exp(2j * np.pi / n)
-    violations = []
-    for k in support:
-        wk = eps ** (np.arange(n) * k)
-        for v in basis_f:
-            nv = float(np.max(np.abs(v))) or 1.0
-            if abs(np.sum(v * wk)) > tol_orth * nv * n:
-                violations.append(k)
-                break
+    violations = [k for k in support if piece_of(D, k) in S]
     ok_puiseux = not violations
 
     return MomentReport(

@@ -3,10 +3,13 @@
 An instance bundles the monodromy of P with endpoints a, b: the tree path
 yields integer sign vectors, whose closure under the coordinate action of
 the monodromy generators is the invariant subspace M of Q^n attached to the
-problem.  M splits as a direct sum of the canonical irreducible pieces U_d
-over a set of admissible divisors; each admissible d carries a right factor
-B_d of degree n/d of P, constant on the residue classes mod d at the level
-of inverse branches.
+problem.  The monodromy group contains the full cycle, so every invariant
+subspace is a direct sum of the canonical irreducible pieces U_d, d in the
+divisor lattice D, and M is fixed by the set S of d whose projector pi_d
+does not kill every sign vector: M = sum over S of U_d, built exactly from
+the projector rows without iterating the group action.  Each admissible d
+carries a right factor B_d of degree n/d of P, constant on the residue
+classes mod d at the level of inverse branches.
 
 A solution Q (all segment moments of Q' against powers of P vanish) is
 decomposed constructively: split its expansion at infinity along index
@@ -20,7 +23,6 @@ recursion strictly decreases the degree, so it terminates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,12 +37,13 @@ from .errors import (
 from .monodromy import Cactus, MonodromyData, build_cactus, f_vectors, monodromy, tree_path
 from .permgroup import (
     DivisorLattice,
+    circulant_from_row,
+    cyclic_convolve,
     divisor_lattice,
     minimal_projector_rows,
-    u_dimension,
 )
 from .poly import ComplexPoly, compose, decompose_outer, decompose_right, roots
-from .rational import RationalSubspace, contains, invariant_closure, matrix_rank, span
+from .rational import RationalSubspace, span
 from .series import (
     MomentReport,
     default_truncation,
@@ -69,6 +72,7 @@ class ProblemInstance:
     path: tuple
     fv: tuple[tuple[int, ...], ...]
     D: DivisorLattice
+    S: frozenset[int]
     M: RationalSubspace
 
     @property
@@ -86,13 +90,17 @@ class ProblemInstance:
         return list(self.md.generators) + [self.md.g_inf]
 
     def u_subspace(self, d: int) -> RationalSubspace:
-        rows = minimal_projector_rows(self.D)[d]
-        n = self.n
-        mat = [tuple(rows[(j - i) % n] for j in range(n)) for i in range(n)]
-        return span(mat, n)
+        return _circulant_span(minimal_projector_rows(self.D)[d])
 
     def verify(self, Q: ComplexPoly, I: int = 25, N: int | None = None) -> MomentReport:
-        return verify_vanishing(self.P, Q, self.a, self.b, self.fv, self.M, self.md, I=I, N=N)
+        return verify_vanishing(
+            self.P, Q, self.a, self.b, self.fv, self.M, self.md, self.D, self.S, I=I, N=N
+        )
+
+
+def _circulant_span(row) -> RationalSubspace:
+    """Row space of the circulant with the given first row."""
+    return span(circulant_from_row(row), len(row))
 
 
 @dataclass
@@ -128,53 +136,27 @@ def _check_summand(s: ReducibleSummand, P: ComplexPoly, tol: float):
 
 
 def build_instance(P: ComplexPoly, a: complex, b: complex, seed: int = 0) -> ProblemInstance:
-    """Monodromy, tree, sign vectors, invariant subspace, divisor lattice."""
+    """Monodromy, tree, sign vectors, divisor lattice, divisor set, subspace."""
     md = monodromy(P, a, b, seed=seed)
     cactus = build_cactus(md, P, a, b)
     path = tree_path(cactus)
     fv = f_vectors(cactus, path)
-    gens = list(md.generators) + [md.g_inf]
     n = P.degree
-    M = invariant_closure([tuple(Fraction(x) for x in v) for v in fv], gens, n)
-    D = divisor_lattice(gens, n)
-    inst = ProblemInstance(P=P, a=a, b=b, md=md, cactus=cactus, path=path, fv=fv, D=D, M=M)
+    D = divisor_lattice(list(md.generators) + [md.g_inf], n)
+    rows = minimal_projector_rows(D)
+    S = frozenset(
+        d for d in D.divisors if any(any(cyclic_convolve(rows[d], v)) for v in fv)
+    )
     # the subspace always contains the top irreducible piece; a violation
     # here means the numerics produced an inconsistent instance
-    if not contains(M, inst.u_subspace(n)):
+    if n not in S:
         raise DecompositionMismatch("invariant subspace misses the top piece U_n")
-    return inst
-
-
-def decompose_M(inst: ProblemInstance) -> set[int]:
-    """Divisors d with U_d inside M; their dimensions must add up to dim M."""
-    rows = minimal_projector_rows(inst.D)
-    n = inst.n
-    S = set()
-    total = 0
-    for d in inst.D.divisors:
-        row = rows[d]
-        produced = []
-        for v in inst.M.basis:
-            produced.append(
-                tuple(
-                    sum(row[(j - i) % n] * v[j] for j in range(n))
-                    for i in range(n)
-                )
-            )
-        rk = matrix_rank(produced)
-        dim_u = u_dimension(inst.D, d)
-        if rk == dim_u and dim_u > 0:
-            S.add(d)
-            total += dim_u
-        elif rk not in (0, dim_u):
-            raise DecompositionMismatch(
-                f"projection rank {rk} strictly between 0 and dim U_{d} = {dim_u}"
-            )
-    if total != inst.M.dim:
-        raise DecompositionMismatch(
-            f"sum of piece dimensions {total} != dim M = {inst.M.dim}"
-        )
-    return S
+    # M = sum of U_d over S, spanned by the shifts of the summed projector
+    rho = tuple(map(sum, zip(*(rows[d] for d in S))))
+    return ProblemInstance(
+        P=P, a=a, b=b, md=md, cactus=cactus, path=path, fv=fv, D=D, S=S,
+        M=_circulant_span(rho),
+    )
 
 
 def right_factor_for(inst: ProblemInstance, d: int):

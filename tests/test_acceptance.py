@@ -33,13 +33,14 @@ from polymoment.permgroup import (
     identity,
     make_lattice,
     minimal_projector_rows,
+    piece_of,
     rational_closure,
     schur_structure_constants,
     stabilizer_orbits,
     u_dimension,
 )
 from polymoment.poly import ComplexPoly, affine_equivalent, chebyshev, compose, decompose_right
-from polymoment.rational import contains
+from polymoment.rational import contains, invariant_closure
 from polymoment.series import brc_elements, puiseux_inverse, q_of_inverse, quadrature_moments
 from polymoment.solver import (
     build_instance,
@@ -261,6 +262,17 @@ def test_criterion_6_geometry_corpus(corpus):
         for prob, inst in corpus:
             n = inst.n
             assert contains(inst.M, inst.u_subspace(n))  # exact
+            # M from the divisor set equals the closure of the sign vectors
+            assert inst.M == invariant_closure(inst.fv, inst.all_generators(), n)
+            # the exact view-(iii) rule agrees with twist-vector orthogonality
+            basis = [np.array([float(x) for x in row]) for row in inst.M.basis]
+            eps = np.exp(2j * np.pi / n)
+            for k in range(-2 * n, 3 * n + 5):
+                wk = eps ** (np.arange(n) * k)
+                twisted = any(
+                    abs(np.sum(v * wk)) > 1e-9 * np.max(np.abs(v)) * n for v in basis
+                )
+                assert (piece_of(inst.D, k) in inst.S) == twisted
             same = abs(prob.P(prob.a) - prob.P(prob.b)) <= inst.tol_point()
             assert same  # built with B(a) = B(b)
             brc = brc_elements(inst.cactus, same)

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import polymoment
-from polymoment.cli import _TOL_TARGETS, main
+from polymoment import poly
+from polymoment.cli import main
 from polymoment.poly import chebyshev, poly_to_json
 
 SQ3 = math.sqrt(3)
@@ -18,14 +19,7 @@ def run_cli(tmp_path, job, extra=()):  # returns (exit code, report dict)
     inp = tmp_path / "job.json"
     out = tmp_path / "report.json"
     inp.write_text(json.dumps(job))
-    # the CLI's tolerance overrides are process-local by design (one job per
-    # process); in the shared pytest process they must be rolled back
-    saved = [(mod, attr, getattr(mod, attr)) for mod, attr in _TOL_TARGETS.values()]
-    try:
-        code = main(["--input", str(inp), "--output", str(out), *extra])
-    finally:
-        for mod, attr, val in saved:
-            setattr(mod, attr, val)
+    code = main(["--input", str(inp), "--output", str(out), *extra])
     text = out.read_text() if out.exists() else "{}"
     return code, json.loads(text)
 
@@ -167,7 +161,7 @@ def test_tolerance_override_changes_behavior(tmp_path):
 def test_tol_cluster_reaches_monodromy(tmp_path, monkeypatch):
     # --tol-cluster must set the radius of the critical-value clustering in
     # monodromy, not only the root clustering in poly
-    mono = sys.modules["polymoment.monodromy"]  # the package attribute is a function
+    from polymoment import monodromy as mono
     seen = []
     cluster = mono._cluster_values
 
@@ -181,3 +175,31 @@ def test_tol_cluster_reaches_monodromy(tmp_path, monkeypatch):
     assert rep["options"]["tolerances"]["tol-cluster"] == 1e-6
     assert seen
     assert all(r == pytest.approx(1e-6 * (1.0 + top)) for r, top in seen)
+
+
+def test_tolerance_override_ends_with_job(tmp_path, monkeypatch):
+    # an override set by one job must not leak into the next job of the
+    # same process
+    default = poly.TOL_CLUSTER
+    monkeypatch.setattr(poly, "TOL_CLUSTER", default)  # teardown safety net
+    job = t6_job("analyze", with_q=False)
+    code, rep = run_cli(tmp_path, job, extra=("--tol-cluster", "1e-6"))
+    assert code == 0 and rep["options"]["tolerances"]["tol-cluster"] == 1e-6
+    assert poly.TOL_CLUSTER == default
+    code, rep = run_cli(tmp_path, job)
+    assert code == 0 and rep["options"]["tolerances"]["tol-cluster"] == default
+
+
+def test_internal_error_reported_as_json(tmp_path, capsys):
+    # a tiny leading coefficient used to escape as a raw IndexError
+    # traceback; whatever the cause, the CLI answers with a JSON error
+    job = {
+        "command": "analyze",
+        "P": {"coeffs": [[0, 0], [0, 0], [1e-30, 0]]},
+        "a": [-1, 0],
+        "b": [1, 0],
+    }
+    code, _ = run_cli(tmp_path, job)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert "error" in err and "detail" in err

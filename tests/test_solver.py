@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -6,10 +8,9 @@ from polymoment.errors import BlockMismatch, InvalidDivisor, NotASolution
 from polymoment.monodromy import cactus_from_generators, f_vectors, tree_path
 from polymoment.permgroup import from_cycles
 from polymoment.poly import ComplexPoly, affine_equivalent, chebyshev, compose
-from polymoment.rational import apply_permutation, contains, span, vec
+from polymoment.rational import apply_permutation, contains, span, vec, vector_to_json
 from polymoment.solver import (
     build_instance,
-    decompose_M,
     decompose_solution,
     double_decompositions,
     exists_nonzero_solution,
@@ -17,6 +18,7 @@ from polymoment.solver import (
     reducible_generators,
     right_factor_for,
 )
+from test_monodromy import GOLDEN, _golden_case
 
 SQ3 = math.sqrt(3)
 T2, T3, T6 = chebyshev(2), chebyshev(3), chebyshev(6)
@@ -79,9 +81,9 @@ def test_fig1_closure_against_orbit_oracle():
     assert M == span(sorted(seen), 8)
 
 
-def test_decompose_M_examples(inst_sq_sym, inst_t6):
-    assert decompose_M(inst_sq_sym) == {2}
-    S = decompose_M(inst_t6)
+def test_divisor_set_examples(inst_sq_sym, inst_t6):
+    assert inst_sq_sym.S == {2}
+    S = inst_t6.S
     total = sum(
         len(inst_t6.u_subspace(d).basis) for d in S
     )
@@ -90,8 +92,34 @@ def test_decompose_M_examples(inst_sq_sym, inst_t6):
     assert 6 in S
 
 
-def test_decompose_M_full_space(inst_sq_asym):
-    assert decompose_M(inst_sq_asym) == {1, 2}
+def test_divisor_set_full_space(inst_sq_asym):
+    assert inst_sq_asym.S == {1, 2}
+
+
+# D, S, dim M and the SHA-256 of the JSON M basis, recorded at commit 35b6233,
+# which built M by closing the sign vectors under the generators and found S
+# by projector ranks (seed 0)
+GOLDEN_M = {
+    "C6x3": ([1, 6, 18], [18], 12,
+             "adbaa8ed337e6dabadfbd21b490c7188861b1c7464ccac88c7536a4249883bfe"),
+    "T12": ([1, 2, 3, 4, 6, 12], [12], 4,
+            "b883257ebad9764ab3e0a756c712f262f89d5289f711466ebbe4f14ff6972517"),
+    "T24": ([1, 2, 3, 4, 6, 8, 12, 24], [24], 8,
+            "d80d5adaffbe63dd6389de1ddb1684c038fbc218fab4c71e874e6a6629ef2402"),
+    "T6": ([1, 2, 3, 6], [6], 2,
+           "6f07538900ff407f9bdc2ed59c55846f1a959df03a5127e500b6cb4a5dd0a5d8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_invariant_subspace(name):
+    D, S, dim, sha = GOLDEN_M[name]
+    inst = build_instance(*_golden_case(name))
+    assert list(inst.D.divisors) == D
+    assert sorted(inst.S) == S
+    assert inst.M.dim == dim
+    basis = json.dumps([vector_to_json(row) for row in inst.M.basis])
+    assert hashlib.sha256(basis.encode()).hexdigest() == sha
 
 
 def test_right_factor_edges(inst_t6):
