@@ -40,6 +40,7 @@ from .permgroup import (
 )
 from .poly import (
     ComplexPoly,
+    Tolerances,
     affine_equivalent,
     chebyshev,
     compose,

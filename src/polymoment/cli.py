@@ -6,20 +6,28 @@ summands), generate (emit a random reducible problem), selftest (run a fixed
 miniature corpus).  Exit codes: 0 success / verdict true / nonempty
 decomposition, 2 verdict false or not a solution, 1 internal error, 64
 malformed input.
+
+Each job builds one `Tolerances` from the --tol-<field> flags and the job's
+"tol-<field>" options (a flag wins) and hands it to its command; the report
+echoes it under options.tolerances.  Numeric flags and options that do not
+convert, a negative count and a tolerance that is negative or not finite are
+malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
+from dataclasses import asdict, fields
 
-from . import __version__, monodromy, poly, series, solver
+from . import __version__
 from .errors import MalformedInput, MomentProblemError, NotASolution
 from .permgroup import lattice_to_json, perm_to_json
-from .poly import ComplexPoly, chebyshev, poly_from_json, poly_to_json
+from .poly import ComplexPoly, Tolerances, chebyshev, compose, poly_from_json, poly_to_json
 from .rational import vector_to_json
 from .solver import (
     build_instance,
@@ -29,21 +37,6 @@ from .solver import (
     random_reducible_problem,
     reducible_generators,
 )
-
-# --tol-* flag -> (module, attribute); an override holds for one job and is
-# restored when the job ends
-_TOL_TARGETS = {
-    "tol-root": (poly, "TOL_ROOT"),
-    "tol-cluster": (poly, "TOL_CLUSTER"),
-    "tol-decomp": (poly, "TOL_DECOMP"),
-    "tol-track": (monodromy, "TOL_TRACK"),
-    "tol-moment": (series, "TOL_MOMENT"),
-    "tol-phi": (series, "TOL_PHI"),
-    "tol-support": (series, "TOL_SUPPORT"),
-    "tol-recover": (series, "TOL_RECOVER"),
-    "tol-point": (solver, "TOL_POINT_FACTOR"),
-    "tol-block": (solver, "TOL_BLOCK"),
-}
 
 
 def _parse_complex(obj, name: str) -> complex:
@@ -67,15 +60,35 @@ def _require(job: dict, field: str):
     return job[field]
 
 
-def _instance_from_job(job, seed: int):
+def _count(value, name: str) -> int:
+    try:
+        k = int(value)
+    except (TypeError, ValueError, OverflowError):
+        k = -1
+    if k < 0:
+        raise MalformedInput(f"option {name!r} must be a non-negative integer, got {value!r}")
+    return k
+
+
+def _tolerance(value, name: str) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (math.isfinite(x) and x >= 0):
+        raise MalformedInput(f"option {name!r} must be a finite number >= 0, got {value!r}")
+    return x
+
+
+def _instance_from_job(job, seed: int, tol: Tolerances):
     P = _parse_poly(_require(job, "P"), "P")
     a = _parse_complex(_require(job, "a"), "a")
     b = _parse_complex(_require(job, "b"), "b")
-    return build_instance(P, a, b, seed=seed)
+    return build_instance(P, a, b, seed=seed, tol=tol)
 
 
-def run_analyze(job: dict, opts: dict) -> tuple[dict, int]:
-    inst = _instance_from_job(job, opts["seed"])
+def run_analyze(job: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
+    inst = _instance_from_job(job, opts["seed"], tol)
     md, cac = inst.md, inst.cactus
     gens = reducible_generators(inst)
     report = {
@@ -110,17 +123,15 @@ def run_analyze(job: dict, opts: dict) -> tuple[dict, int]:
     return report, 0
 
 
-def run_verify(job: dict, opts: dict) -> tuple[dict, int]:
-    inst = _instance_from_job(job, opts["seed"])
+def run_verify(job: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
+    inst = _instance_from_job(job, opts["seed"], tol)
     Q = _parse_poly(_require(job, "Q"), "Q")
     rep = inst.verify(Q, I=opts["moments"], N=opts["truncation"])
     return rep.to_json(), 0 if rep.verdict else 2
 
 
-def run_decompose(job: dict, opts: dict) -> tuple[dict, int]:
-    from .poly import compose
-
-    inst = _instance_from_job(job, opts["seed"])
+def run_decompose(job: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
+    inst = _instance_from_job(job, opts["seed"], tol)
     Q = _parse_poly(_require(job, "Q"), "Q")
     try:
         summands = decompose_solution(inst, Q, I=opts["moments"], N=opts["truncation"])
@@ -139,8 +150,8 @@ def run_decompose(job: dict, opts: dict) -> tuple[dict, int]:
     return {"count": len(summands), "summands": body}, 0
 
 
-def run_generate(job: dict, opts: dict) -> tuple[dict, int]:
-    prob = random_reducible_problem(opts["seed"])
+def run_generate(job: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
+    prob = random_reducible_problem(opts["seed"], tol=tol)
     return {
         "P": poly_to_json(prob.P),
         "a": [prob.a.real, prob.a.imag],
@@ -151,26 +162,24 @@ def run_generate(job: dict, opts: dict) -> tuple[dict, int]:
     }, 0
 
 
-def run_selftest(job: dict, opts: dict) -> tuple[dict, int]:
+def run_selftest(job: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
     """A fixed miniature corpus touching every layer; seconds, not minutes."""
     results = {}
 
     t6 = chebyshev(6)
     results["chebyshev_composition"] = (
-        poly.compose(chebyshev(3), chebyshev(2)).coeffs == t6.coeffs
+        compose(chebyshev(3), chebyshev(2)).coeffs == t6.coeffs
     )
 
-    import math
-
     a, b = -math.sqrt(3) / 2, math.sqrt(3) / 2
-    inst = build_instance(t6, a, b, seed=opts["seed"])
+    inst = build_instance(t6, a, b, seed=opts["seed"], tol=tol)
     results["t6_divisors"] = inst.D.divisors == (1, 2, 3, 6)
     Q = 2 * chebyshev(2) + 5 * chebyshev(3)
     summands = decompose_solution(inst, Q, I=opts["moments"])
     results["t6_two_summands"] = len(summands) == 2
 
     z2 = ComplexPoly([0, 0, 1])
-    inst2 = build_instance(z2, -1, 1, seed=opts["seed"])
+    inst2 = build_instance(z2, -1, 1, seed=opts["seed"], tol=tol)
     results["z2_subspace_dim"] = inst2.M.dim == 1
     try:
         decompose_solution(inst2, ComplexPoly([0, 1]))
@@ -178,7 +187,7 @@ def run_selftest(job: dict, opts: dict) -> tuple[dict, int]:
     except NotASolution:
         results["z2_negative_control"] = True
 
-    inst3 = build_instance(z2, 0, 1, seed=opts["seed"])
+    inst3 = build_instance(z2, 0, 1, seed=opts["seed"], tol=tol)
     results["existence_gate"] = (not exists_nonzero_solution(inst3)) and not reducible_generators(inst3)
 
     ok = all(results.values())
@@ -202,11 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--command", choices=sorted(_COMMANDS), help="overrides the job's command field")
     ap.add_argument("--input", "-i", help="job JSON file (default: stdin)")
     ap.add_argument("--output", "-o", help="report file (default: stdout)")
-    ap.add_argument("--moments", type=int, default=25, help="number of moments I")
-    ap.add_argument("--truncation", type=int, default=None, help="series truncation N")
-    ap.add_argument("--seed", type=int, default=0)
-    for flag in sorted(_TOL_TARGETS):
-        ap.add_argument(f"--{flag}", type=float, default=None)
+    # numeric values are converted and checked per job, by run_job
+    ap.add_argument("--moments", default=25, help="number of moments I")
+    ap.add_argument("--truncation", default=None, help="series truncation N")
+    ap.add_argument("--seed", default=0)
+    for f in fields(Tolerances):
+        ap.add_argument(f"--tol-{f.name}", default=None)
     return ap
 
 
@@ -218,31 +228,26 @@ def run_job(job: dict, args) -> tuple[dict, int]:
     if not isinstance(job_opts, dict):
         raise MalformedInput("options must be an object")
     opts = {
-        "moments": int(job_opts.get("moments", args.moments)),
+        "moments": _count(job_opts.get("moments", args.moments), "moments"),
         "truncation": job_opts.get("truncation", args.truncation),
-        "seed": int(job_opts.get("seed", args.seed)),
+        "seed": _count(job_opts.get("seed", args.seed), "seed"),
     }
     if opts["truncation"] is not None:
-        opts["truncation"] = int(opts["truncation"])
-    applied_tols = {}
-    saved = []
-    try:
-        for flag, (mod, attr) in _TOL_TARGETS.items():
-            val = getattr(args, flag.replace("-", "_"), None)
-            if val is None:
-                val = job_opts.get(flag)
-            if val is not None:
-                saved.append((mod, attr, getattr(mod, attr)))
-                setattr(mod, attr, float(val))
-            applied_tols[flag] = getattr(mod, attr)
-        body, code = _COMMANDS[command](job, opts)
-    finally:
-        for mod, attr, val in saved:
-            setattr(mod, attr, val)
+        opts["truncation"] = _count(opts["truncation"], "truncation")
+    given = {}
+    for f in fields(Tolerances):
+        flag = f"tol-{f.name}"
+        val = getattr(args, f"tol_{f.name}")
+        if val is None:
+            val = job_opts.get(flag)
+        if val is not None:
+            given[f.name] = _tolerance(val, flag)
+    tol = Tolerances(**given)
+    body, code = _COMMANDS[command](job, opts, tol)
     report = {
         "version": __version__,
         "command": command,
-        "options": {**opts, "tolerances": applied_tols},
+        "options": {**opts, "tolerances": {f"tol-{k}": v for k, v in asdict(tol).items()}},
         "report": body,
     }
     return report, code

@@ -39,13 +39,9 @@ from .errors import (
     TreeViolation,
     VertexMismatch,
 )
-from . import poly as _poly
 from .permgroup import Permutation, full_cycle, identity
-from .poly import ComplexPoly, derivative, roots
+from .poly import ComplexPoly, Tolerances, derivative, roots
 
-# tracking accuracy feeds the sampled branch relations of the verifier, whose
-# tolerance is 1e-9; the corrector is quadratic, so a tight target is cheap
-TOL_TRACK = 1e-12
 CIRCLE_SEGMENTS = 32
 # step control: a corrector still short of its tolerance after CORRECTOR_ITERS
 # Newton updates started from a far-off predictor, and halving the step is
@@ -173,22 +169,19 @@ def choose_basepoint(values) -> complex:
     return complex(best[1])
 
 
-def critical_data(
-    P: ComplexPoly, a: complex, b: complex, tol_cluster: float | None = None
-):
+def critical_data(P: ComplexPoly, a: complex, b: complex, tol: Tolerances = Tolerances()):
     """Distinct finite critical values, supplemented by P(a), P(b) if needed.
 
     Returns (values, supplemented_flags), ordered counterclockwise by angle
     around the basepoint the sweep would choose.
     """
-    tol_cluster = _poly.TOL_CLUSTER if tol_cluster is None else tol_cluster
     if P.degree < 2:
         raise DegenerateInput("deg P must be >= 2")
     if abs(a - b) <= 1e-13 * (1 + abs(a) + abs(b)):
         raise DegenerateInput("endpoints must be distinct")
-    crit_pts = roots(derivative(P))
+    crit_pts = roots(derivative(P), tol)
     vals = [P(z) for z in crit_pts]
-    radius = tol_cluster * (1.0 + max(abs(v) for v in vals))
+    radius = tol.cluster * (1.0 + max(abs(v) for v in vals))
     values = _cluster_values(vals, radius)
     flags = [False] * len(values)
     for w in (P(a), P(b)):
@@ -269,7 +262,7 @@ def continue_branches(
     P: ComplexPoly,
     path,
     start,
-    tol_track: float | None = None,
+    tol: Tolerances = Tolerances(),
     record_at=None,
 ):
     """Continue the full fiber of P along a polyline of sample points.
@@ -287,7 +280,6 @@ def continue_branches(
     With record_at = list of indices into `path`, also returns the fiber at
     those waypoints.
     """
-    tol_track = TOL_TRACK if tol_track is None else tol_track
     arrays = _poly_arrays(P)
     sep_floor = 1e-12 * (1 + P.coeff_scale())
     w = np.array(start, dtype=complex)
@@ -303,7 +295,7 @@ def continue_branches(
             tb = min(t + h, 1.0)
             zb = z1 if tb == 1.0 else z0 + tb * (z1 - z0)
             pred = w + (zb - za) / np.where(dv == 0, 1e-300, dv)
-            w_new, dv_new, ok = _correct(arrays, zb, pred, tol_track * (abs(zb) + 1.0))
+            w_new, dv_new, ok = _correct(arrays, zb, pred, tol.track * (abs(zb) + 1.0))
             if ok and float(np.max(np.abs(w_new - w))) <= 0.34 * sep:
                 sep_new = _min_sep(w_new)
                 if sep_new >= sep_floor:
@@ -362,8 +354,7 @@ def monodromy(
     P: ComplexPoly,
     a: complex,
     b: complex,
-    tol_track: float | None = None,
-    tol_cluster: float | None = None,
+    tol: Tolerances = Tolerances(),
     seed: int = 0,
 ) -> MonodromyData:
     """Loop permutations around every (supplemented) critical value of P.
@@ -376,9 +367,9 @@ def monodromy(
     deterministic choice.
     """
     n = P.degree
-    values, flags = critical_data(P, a, b, tol_cluster)
+    values, flags = critical_data(P, a, b, tol)
     c = choose_basepoint(values)
-    fiber = polish_fiber(P, c, roots(P - c, seed=seed))
+    fiber = polish_fiber(P, c, roots(P - c, tol, seed=seed))
 
     k = len(values)
     gens = []
@@ -387,7 +378,7 @@ def monodromy(
         r = 0.5 * min(others) if others else 0.5 * abs(c - cs)
         r = min(r, 0.5 * abs(c - cs))
         loop = _loop_around(c, cs, r)
-        end = continue_branches(P, loop, fiber, tol_track)
+        end = continue_branches(P, loop, fiber, tol)
         gens.append(_match_permutation(fiber, end))
 
     ctr = sum(values) / len(values)
@@ -397,7 +388,7 @@ def monodromy(
     circle = _circle(ctr, r_big, float(np.angle(u)), ccw=False,
                      segments=max(CIRCLE_SEGMENTS, 2 * n))
     loop_inf = [c, p0] + circle[1:] + [c]
-    end = continue_branches(P, loop_inf, fiber, tol_track)
+    end = continue_branches(P, loop_inf, fiber, tol)
     g_inf = _match_permutation(fiber, end)
 
     prod = identity(n)
@@ -461,7 +452,9 @@ def multiplicity_at(P: ComplexPoly, z: complex, tol: float = 1e-8) -> int:
     return m
 
 
-def _locate_branches(P, md: MonodromyData, point: complex, s: int, mult: int):
+def _locate_branches(
+    P, md: MonodromyData, point: complex, s: int, mult: int, tol: Tolerances
+):
     """Branch indices whose values converge to `point` along the s-th arc."""
     c = md.base_point
     cs = md.critical_values[s - 1]
@@ -474,7 +467,7 @@ def _locate_branches(P, md: MonodromyData, point: complex, s: int, mult: int):
     z_cur = c
     for _ in range(7):
         q = cs + delta * u
-        w = continue_branches(P, [z_cur, q], w)
+        w = continue_branches(P, [z_cur, q], w, tol)
         z_cur = q
         dists = sorted(
             (abs(wi - point), i + 1) for i, wi in enumerate(w)
@@ -570,7 +563,9 @@ def cactus_from_generators(
     return cac
 
 
-def build_cactus(md: MonodromyData, P: ComplexPoly, a: complex, b: complex) -> Cactus:
+def build_cactus(
+    md: MonodromyData, P: ComplexPoly, a: complex, b: complex, tol: Tolerances = Tolerances()
+) -> Cactus:
     """Locate a and b on the tree and assemble it.
 
     V(a) is found by continuing the fiber along the arc toward P(a)'s vertex
@@ -579,7 +574,7 @@ def build_cactus(md: MonodromyData, P: ComplexPoly, a: complex, b: complex) -> C
     permutation.  The circular-separation law for V(a), V(b) is checked on
     every build.
     """
-    radius = _poly.TOL_CLUSTER * (1.0 + max(abs(v) for v in md.critical_values))
+    radius = tol.cluster * (1.0 + max(abs(v) for v in md.critical_values))
 
     def color_of(w: complex) -> int:
         ds = [abs(w - v) for v in md.critical_values]
@@ -590,8 +585,8 @@ def build_cactus(md: MonodromyData, P: ComplexPoly, a: complex, b: complex) -> C
 
     s_a, s_b = color_of(P(a)), color_of(P(b))
     d_a, d_b = multiplicity_at(P, a), multiplicity_at(P, b)
-    Va = _locate_branches(P, md, a, s_a, d_a)
-    Vb = _locate_branches(P, md, b, s_b, d_b)
+    Va = _locate_branches(P, md, a, s_a, d_a, tol)
+    Vb = _locate_branches(P, md, b, s_b, d_b, tol)
 
     def cycle_check(s: int, branches: frozenset[int], label: str):
         for cyc in md.generators[s - 1].cycles():

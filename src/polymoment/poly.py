@@ -7,6 +7,11 @@ coefficient tuple and degree -1.
 Right-factor decomposition p = A(B(z)) is normalized so that B is monic with
 B(0) = 0; with that normalization the pair (A, B) is unique for a given
 degree of B, which makes decompositions comparable and testable.
+
+The settable thresholds of the numerical checks live in one frozen
+`Tolerances`, defined here because every module that checks against one
+imports this module.  Callers pass it explicitly; a `ProblemInstance`
+carries its own.
 """
 
 from __future__ import annotations
@@ -17,9 +22,23 @@ import numpy as np
 
 from .errors import DegreeTooLow, InvalidDegree, NoConvergence
 
-TOL_ROOT = 1e-10
-TOL_DECOMP = 1e-9
-TOL_CLUSTER = 1e-8
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The thresholds of the numerical checks; the CLI sets each by --tol-<field>."""
+
+    root: float = 1e-10
+    cluster: float = 1e-8
+    decomp: float = 1e-9
+    # tracking accuracy feeds the sampled branch relations of the verifier, whose
+    # tolerance is 1e-9; the corrector is quadratic, so a tight target is cheap
+    track: float = 1e-12
+    moment: float = 1e-9
+    phi: float = 1e-9
+    support: float = 1e-9
+    recover: float = 1e-8
+    point: float = 1e-9
+    block: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -339,15 +358,14 @@ def _collapse(coeffs, pts, scale, floor_radius):
 
 def roots(
     p: ComplexPoly,
-    tol_root: float | None = None,
-    tol_cluster: float | None = None,
+    tol: Tolerances = Tolerances(),
     max_iter: int = 600,
     restarts: int = 8,
     seed: int = 0,
 ) -> list[complex]:
     """All deg(p) roots with multiplicity, by simultaneous iteration.
 
-    The iteration targets a backward error well below tol_root; clusters of
+    The iteration targets a backward error well below tol.root; clusters of
     approximations are then collapsed into multiple roots whenever the
     collapse does not worsen the coefficient-level reconstruction of p (the
     approximations of an m-fold root are individually only (tol)^(1/m)
@@ -356,14 +374,12 @@ def roots(
 
     Raises DegreeTooLow for constants, NoConvergence if every restart fails.
     """
-    tol_root = TOL_ROOT if tol_root is None else tol_root
-    tol_cluster = TOL_CLUSTER if tol_cluster is None else tol_cluster
     n = p.degree
     if n < 1:
         raise DegreeTooLow("need degree >= 1 to extract roots")
     coeffs = [c / p.leading for c in p.coeffs]
     cauchy = 1.0 + max(abs(c) for c in coeffs[:-1]) if n else 1.0
-    inner_tol = min(tol_root, 1e-12)
+    inner_tol = min(tol.root, 1e-12)
     rng = np.random.RandomState(seed)
     zs = None
     for attempt in range(restarts):
@@ -378,7 +394,7 @@ def roots(
     else:
         raise NoConvergence(f"root iteration failed after {restarts} restarts")
     scale = 1.0 + max(abs(z) for z in zs)
-    floor = max(tol_cluster, 1e-8) * scale if tol_cluster <= 1e-6 else tol_cluster
+    floor = max(tol.cluster, 1e-8) * scale if tol.cluster <= 1e-6 else tol.cluster
     found = _collapse(coeffs, [complex(z) for z in zs], scale, floor)
     result: list[complex] = []
     for z, m in found:
@@ -388,30 +404,21 @@ def roots(
     return sorted(result, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
 
 
-def from_roots(rs, lc: complex = 1.0) -> ComplexPoly:
-    """lc * prod (z - r)."""
-    acc = ComplexPoly([lc])
-    for r in rs:
-        acc = acc * ComplexPoly([-r, 1])
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # composition factors
 # ---------------------------------------------------------------------------
 
 
 def decompose_right(
-    p: ComplexPoly, m: int, tol: float | None = None
+    p: ComplexPoly, m: int, tol: Tolerances = Tolerances()
 ) -> tuple[ComplexPoly, ComplexPoly] | None:
     """Split p = A(B(z)) with deg B = m, B monic and B(0) = 0, if possible.
 
     The top m-1 coefficients of p force B through a triangular system (only
     the a_r B^r term of A(B) reaches degrees above n-m); A is then read off
     the B-adic digits of p, which must all be constants.  Returns None when
-    the unique normalized candidate fails to reproduce p within tol.
+    the unique normalized candidate fails to reproduce p within tol.decomp.
     """
-    tol = TOL_DECOMP if tol is None else tol
     n = p.degree
     if n < 2:
         raise DegreeTooLow("need degree >= 2")
@@ -441,7 +448,7 @@ def decompose_right(
     for dig in digits:
         cs = dig.coeffs
         a.append(cs[0] if cs else 0.0)
-        if any(abs(c) > tol * scale for c in cs[1:]):
+        if any(abs(c) > tol.decomp * scale for c in cs[1:]):
             return None
     A = ComplexPoly([x * p.leading for x in a])
     resid = p - compose(A, B)
@@ -449,16 +456,15 @@ def decompose_right(
     cond = compose(
         ComplexPoly([abs(c) for c in A.coeffs]), ComplexPoly([abs(c) for c in B.coeffs])
     ).coeff_scale()
-    if any(abs(c) > tol * max(p.coeff_scale(), cond) for c in resid.coeffs):
+    if any(abs(c) > tol.decomp * max(p.coeff_scale(), cond) for c in resid.coeffs):
         return None
     return A, B
 
 
 def decompose_outer(
-    s: ComplexPoly, b: ComplexPoly, tol: float | None = None
+    s: ComplexPoly, b: ComplexPoly, tol: Tolerances = Tolerances()
 ) -> ComplexPoly | None:
     """Find R with s = R(b(z)) for a known inner factor b, via b-adic digits."""
-    tol = TOL_DECOMP if tol is None else tol
     if b.degree < 1:
         return None
     scale = max(s.coeff_scale(), 1.0)
@@ -474,20 +480,19 @@ def decompose_outer(
     for dig in digits:
         cs = dig.coeffs
         out.append(cs[0] if cs else 0.0)
-        if any(abs(c) > tol * scale for c in cs[1:]):
+        if any(abs(c) > tol.decomp * scale for c in cs[1:]):
             return None
     R = ComplexPoly(out)
     resid = s - compose(R, b)
-    if any(abs(c) > tol * scale for c in resid.coeffs):
+    if any(abs(c) > tol.decomp * scale for c in resid.coeffs):
         return None
     return R
 
 
 def affine_equivalent(
-    w1: ComplexPoly, w2: ComplexPoly, tol: float | None = None
+    w1: ComplexPoly, w2: ComplexPoly, tol: Tolerances = Tolerances()
 ) -> tuple[complex, complex] | None:
-    """(alpha, beta) with w2 = alpha*w1 + beta within tol, else None."""
-    tol = TOL_DECOMP if tol is None else tol
+    """(alpha, beta) with w2 = alpha*w1 + beta within tol.decomp, else None."""
     if w1.degree != w2.degree or w1.degree < 1:
         return None
     alpha = w2.leading / w1.leading
@@ -495,7 +500,7 @@ def affine_equivalent(
     beta = diff.coeffs[0] if diff.coeffs else 0.0
     rem = diff - ComplexPoly([beta])
     scale = max(w1.coeff_scale(), w2.coeff_scale())
-    if any(abs(c) > tol * scale for c in rem.coeffs):
+    if any(abs(c) > tol.decomp * scale for c in rem.coeffs):
         return None
     return alpha, beta
 

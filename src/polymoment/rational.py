@@ -182,11 +182,6 @@ def invariant_closure(seed, gens, n: int | None = None) -> RationalSubspace:
         cur = nxt
 
 
-def matrix_rank(rows) -> int:
-    """Exact rank of a rational matrix given as an iterable of rows."""
-    return len(_rref([[Fraction(x) for x in r] for r in rows]))
-
-
 def vector_to_json(v) -> list[str]:
     return [f"{x.numerator}/{x.denominator}" for x in vec(v)]
 

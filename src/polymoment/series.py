@@ -36,13 +36,11 @@ from .errors import (
 )
 from .monodromy import Cactus, MonodromyData, continue_branches
 from .permgroup import DivisorLattice, piece_of
-from .poly import ComplexPoly, derivative, eval_many
+from .poly import ComplexPoly, Tolerances, derivative, eval_many
 from .rational import RationalSubspace
 
-TOL_MOMENT = 1e-9
-TOL_PHI = 1e-9
-TOL_SUPPORT = 1e-9
-TOL_RECOVER = 1e-8
+# the benchmark (perfbench/run.py) reads these two as the applied defaults
+TOL_MOMENT, TOL_PHI = Tolerances.moment, Tolerances.phi
 
 
 def default_truncation(n: int, deg_q: int) -> int:
@@ -95,10 +93,8 @@ class PuiseuxSeries:
         m = float(np.max(np.abs(self.vals[:upto]))) if upto > 0 else 0.0
         return m or 1.0
 
-    def support(self, tol: float | None = None, ref_scale: float | None = None) -> list[int]:
+    def support(self, tol: float = Tolerances.support, ref_scale: float | None = None) -> list[int]:
         """Indices with |s_k| above tol * max|s_k| (or a supplied scale)."""
-        if tol is None:
-            tol = TOL_SUPPORT
         cut = tol * (ref_scale if ref_scale is not None else self.scale())
         return [
             self.kmin + j
@@ -237,16 +233,15 @@ def extract_psi(series: PuiseuxSeries, f: int) -> PuiseuxSeries:
 
 
 def recover_polynomial(
-    psi: PuiseuxSeries, w: PuiseuxSeries, tol_recover: float | None = None
+    psi: PuiseuxSeries, w: PuiseuxSeries, tol: Tolerances = Tolerances()
 ) -> ComplexPoly:
     """Polynomial S with S(w(u)) = psi, by leading-term elimination.
 
     The most negative live index of psi fixes deg S; powers of w are
-    subtracted from the top down.  A residual above tol_recover means psi
+    subtracted from the top down.  A residual above tol.recover means psi
     does not descend to a polynomial in this branch (wrong index class or
     noise) and raises RecoveryFailure.
     """
-    tol_recover = TOL_RECOVER if tol_recover is None else tol_recover
     m = len(w.vals)
     sig = psi.support(tol=1e-13)
     if not sig:
@@ -273,7 +268,7 @@ def recover_polynomial(
     worst = max(
         (abs(v) for k, v in res.items() if k <= valid_to), default=0.0
     )
-    if worst > tol_recover * psi.scale():
+    if worst > tol.recover * psi.scale():
         raise RecoveryFailure(
             f"residual {worst:.3g} after elimination; no polynomial descent"
         )
@@ -392,10 +387,12 @@ def sample_ray(md: MonodromyData, count: int = 8):
     return [c + s0 * (2.0**j) * u for j in range(1, count + 1)]
 
 
-def branch_samples(P: ComplexPoly, md: MonodromyData, points):
+def branch_samples(P: ComplexPoly, md: MonodromyData, points, tol: Tolerances = Tolerances()):
     """Fiber values at the given ray points, branch order as in md.fiber."""
     path = [md.base_point] + list(points)
-    _, rec = continue_branches(P, path, np.array(md.fiber), record_at=set(range(1, len(path))))
+    _, rec = continue_branches(
+        P, path, np.array(md.fiber), tol, record_at=set(range(1, len(path)))
+    )
     return [rec[i] for i in range(1, len(path))]
 
 
@@ -411,9 +408,7 @@ def verify_vanishing(
     S: frozenset[int],
     I: int = 25,
     N: int | None = None,
-    tol_moment: float | None = None,
-    tol_phi: float | None = None,
-    tol_support: float | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> MomentReport:
     """Run the three equivalent vanishing checks and report.
 
@@ -425,19 +420,16 @@ def verify_vanishing(
     View (iii) is exact: index k violates it iff the piece holding frequency
     k (`permgroup.piece_of`) is in S.  The verdict is the conjunction.
     """
-    tol_moment = TOL_MOMENT if tol_moment is None else tol_moment
-    tol_phi = TOL_PHI if tol_phi is None else tol_phi
-    tol_support = TOL_SUPPORT if tol_support is None else tol_support
     n = P.degree
     Qn = Q - Q(a)
     moments, scales = quadrature_moments(P, Qn, a, b, I, with_scales=True)
     m_res = max(
         abs(m) / (s + 1.0) for m, s in zip(moments, scales)
     )
-    ok_moments = m_res <= tol_moment
+    ok_moments = m_res <= tol.moment
 
     pts = sample_ray(md)
-    fibers = branch_samples(P, md, pts)
+    fibers = branch_samples(P, md, pts, tol)
     qvals = [eval_many(Qn, f) for f in fibers]
     basis_f = [np.array([float(x) for x in row]) for row in M.basis]
     fvecs_f = [np.array([float(x) for x in fv]) for fv in fvectors]
@@ -453,7 +445,7 @@ def verify_vanishing(
         for qv in qvals:
             sc = max(1.0, float(np.max(np.abs(qv))))
             rel_res = max(rel_res, abs(np.sum(v * qv)) / sc)
-    ok_phi = rel_res <= tol_phi
+    ok_phi = rel_res <= tol.phi
 
     if Qn.is_zero():
         support: list[int] = []
@@ -462,7 +454,7 @@ def verify_vanishing(
             N = default_truncation(n, Qn.degree)
         w = puiseux_inverse(range_rescaled(P, md), N)
         series = q_of_inverse(Qn, w)
-        support = series.support(tol=tol_support)
+        support = series.support(tol.support)
     violations = [k for k in support if piece_of(D, k) in S]
     ok_puiseux = not violations
 

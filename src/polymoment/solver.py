@@ -42,7 +42,7 @@ from .permgroup import (
     divisor_lattice,
     minimal_projector_rows,
 )
-from .poly import ComplexPoly, compose, decompose_outer, decompose_right, roots
+from .poly import ComplexPoly, Tolerances, compose, decompose_outer, decompose_right, roots
 from .rational import RationalSubspace, span
 from .series import (
     MomentReport,
@@ -55,14 +55,13 @@ from .series import (
     verify_vanishing,
 )
 
-TOL_POINT_FACTOR = 1e-9
-TOL_BLOCK = 1e-8
 TOL_SUM = 1e-8
 
 
 @dataclass
 class ProblemInstance:
-    """P with endpoints a, b plus everything derived from its monodromy."""
+    """P with endpoints a, b plus everything derived from its monodromy, and
+    the tolerances every later check on the instance uses."""
 
     P: ComplexPoly
     a: complex
@@ -74,6 +73,7 @@ class ProblemInstance:
     D: DivisorLattice
     S: frozenset[int]
     M: RationalSubspace
+    tol: Tolerances
 
     @property
     def n(self) -> int:
@@ -84,23 +84,16 @@ class ProblemInstance:
         return len(self.D.divisors)
 
     def tol_point(self) -> float:
-        return TOL_POINT_FACTOR * (1.0 + self.P.coeff_scale())
+        return self.tol.point * (1.0 + self.P.coeff_scale())
 
     def all_generators(self):
         return list(self.md.generators) + [self.md.g_inf]
 
-    def u_subspace(self, d: int) -> RationalSubspace:
-        return _circulant_span(minimal_projector_rows(self.D)[d])
-
     def verify(self, Q: ComplexPoly, I: int = 25, N: int | None = None) -> MomentReport:
         return verify_vanishing(
-            self.P, Q, self.a, self.b, self.fv, self.M, self.md, self.D, self.S, I=I, N=N
+            self.P, Q, self.a, self.b, self.fv, self.M, self.md, self.D, self.S,
+            I=I, N=N, tol=self.tol,
         )
-
-
-def _circulant_span(row) -> RationalSubspace:
-    """Row space of the circulant with the given first row."""
-    return span(circulant_from_row(row), len(row))
 
 
 @dataclass
@@ -135,10 +128,12 @@ def _check_summand(s: ReducibleSummand, P: ComplexPoly, tol: float):
         )
 
 
-def build_instance(P: ComplexPoly, a: complex, b: complex, seed: int = 0) -> ProblemInstance:
+def build_instance(
+    P: ComplexPoly, a: complex, b: complex, seed: int = 0, tol: Tolerances = Tolerances()
+) -> ProblemInstance:
     """Monodromy, tree, sign vectors, divisor lattice, divisor set, subspace."""
-    md = monodromy(P, a, b, seed=seed)
-    cactus = build_cactus(md, P, a, b)
+    md = monodromy(P, a, b, tol, seed=seed)
+    cactus = build_cactus(md, P, a, b, tol)
     path = tree_path(cactus)
     fv = f_vectors(cactus, path)
     n = P.degree
@@ -155,7 +150,7 @@ def build_instance(P: ComplexPoly, a: complex, b: complex, seed: int = 0) -> Pro
     rho = tuple(map(sum, zip(*(rows[d] for d in S))))
     return ProblemInstance(
         P=P, a=a, b=b, md=md, cactus=cactus, path=path, fv=fv, D=D, S=S,
-        M=_circulant_span(rho),
+        M=span(circulant_from_row(rho), n), tol=tol,
     )
 
 
@@ -168,7 +163,7 @@ def right_factor_for(inst: ProblemInstance, d: int):
     if d not in inst.D.divisors:
         raise InvalidDivisor(f"{d} is not an admissible divisor")
     n = inst.n
-    got = decompose_right(inst.P, n // d)
+    got = decompose_right(inst.P, n // d, inst.tol)
     if got is None:
         raise FactorMissing(
             f"no right factor of degree {n // d} although divisor {d} is admissible"
@@ -179,7 +174,7 @@ def right_factor_for(inst: ProblemInstance, d: int):
     for i in range(n):
         for j in range(i + 1, n):
             same = (i - j) % d == 0
-            close = abs(vals[i] - vals[j]) <= TOL_BLOCK * scale
+            close = abs(vals[i] - vals[j]) <= inst.tol.block * scale
             if same and not close:
                 raise BlockMismatch(
                     f"branches {i + 1},{j + 1} in one class mod {d} but B-values differ"
@@ -236,7 +231,7 @@ def double_decompositions(inst: ProblemInstance):
             big, small = (Bx, By) if Bx.degree >= By.degree else (By, Bx)
             nested = (
                 big.degree % small.degree == 0
-                and decompose_outer(big, small) is not None
+                and decompose_outer(big, small, inst.tol) is not None
             )
             if not nested:
                 pairs.append(((Ax, Bx), (Ay, By)))
@@ -281,11 +276,11 @@ def decompose_solution(
     w = puiseux_inverse(range_rescaled(P, inst.md), N)
     series = q_of_inverse(Qn, w)
     ref = series.scale()
-    sig = series.support(ref_scale=ref)
+    sig = series.support(inst.tol.support, ref_scale=ref)
 
     if all(k % n == 0 for k in sig):
         A1, B1 = right_factor_for(inst, 1)
-        R = decompose_outer(Qn, B1)
+        R = decompose_outer(Qn, B1, inst.tol)
         if R is None:
             raise ResidualNonzero("series supported on nZ but Q is not R(P)")
         gap = abs(B1(a) - B1(b))
@@ -299,11 +294,11 @@ def decompose_solution(
         if f == n:
             continue
         step = n // f
-        live = residual.support(ref_scale=ref)
+        live = residual.support(inst.tol.support, ref_scale=ref)
         if not any(k % step == 0 for k in live):
             continue
         psi = extract_psi(residual, f)
-        S_f = recover_polynomial(psi, w)
+        S_f = recover_polynomial(psi, w, inst.tol)
         residual = type(residual)(
             n=residual.n,
             kmin=residual.kmin,
@@ -311,13 +306,13 @@ def decompose_solution(
             trunc=residual.trunc,
         )
         A_f, B_f = right_factor_for(inst, f)
-        R_f = decompose_outer(S_f, B_f)
+        R_f = decompose_outer(S_f, B_f, inst.tol)
         if R_f is None:
             raise ResidualNonzero(
                 f"extracted part for divisor {f} does not factor through B_{f}"
             )
         pieces.append((f, S_f, A_f, B_f, R_f))
-    leftover = residual.support(ref_scale=ref)
+    leftover = residual.support(inst.tol.support, ref_scale=ref)
     if leftover:
         raise ResidualNonzero(f"live indices {leftover} remain after all divisors")
 
@@ -330,7 +325,7 @@ def decompose_solution(
             continue
         if f < 2:
             raise NotASolution("part through P itself but P(a) != P(b)")
-        sub = build_instance(A, B(a), B(b))
+        sub = build_instance(A, B(a), B(b), tol=inst.tol)
         subs = decompose_solution(sub, R, I=I, _depth=_depth + 1)
         dropped = R(B(a))
         pulled = []
@@ -420,6 +415,7 @@ def random_reducible_problem(
     deg_inner=(2, 4),
     deg_solution=(1, 3),
     attempts: int = 25,
+    tol: Tolerances = Tolerances(),
 ) -> GeneratedProblem:
     """P = A(B(z)) with random factors, b solved from B(a) = B(b), and a
     reducible solution Q = T(B(z)).  Retries deterministically on numerically
@@ -435,7 +431,7 @@ def random_reducible_problem(
         P = compose(A, B)
         a = complex(*rng.standard_normal(2))
         try:
-            cands = roots(B - B(a), seed=int(rng.randint(10**6)))
+            cands = roots(B - B(a), tol, seed=int(rng.randint(10**6)))
         except MomentProblemError:
             continue
         cands = [z for z in cands if abs(z - a) > 0.05 * (1 + abs(a))]
@@ -446,7 +442,7 @@ def random_reducible_problem(
         T = _random_poly(rng, dT)
         Q = compose(T, B)
         try:
-            monodromy(P, a, b)
+            monodromy(P, a, b, tol)
         except MomentProblemError:
             continue
         return GeneratedProblem(P=P, a=a, b=b, Q=Q, inner=B, seed=seed * 1009 + attempt)

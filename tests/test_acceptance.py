@@ -24,6 +24,7 @@ from polymoment.monodromy import (
 )
 from polymoment.permgroup import (
     Permutation,
+    circulant_from_row,
     cyclic_convolve,
     divisor_lattice,
     divisors_of,
@@ -40,7 +41,7 @@ from polymoment.permgroup import (
     u_dimension,
 )
 from polymoment.poly import ComplexPoly, affine_equivalent, chebyshev, compose, decompose_right
-from polymoment.rational import contains, invariant_closure
+from polymoment.rational import contains, invariant_closure, span
 from polymoment.series import brc_elements, puiseux_inverse, q_of_inverse, quadrature_moments
 from polymoment.solver import (
     build_instance,
@@ -261,7 +262,8 @@ def test_criterion_6_geometry_corpus(corpus):
 
         for prob, inst in corpus:
             n = inst.n
-            assert contains(inst.M, inst.u_subspace(n))  # exact
+            u_n = span(circulant_from_row(minimal_projector_rows(inst.D)[n]), n)
+            assert contains(inst.M, u_n)  # exact
             # M from the divisor set equals the closure of the sign vectors
             assert inst.M == invariant_closure(inst.fv, inst.all_generators(), n)
             # the exact view-(iii) rule agrees with twist-vector orthogonality

@@ -1,16 +1,18 @@
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import polymoment
-from polymoment import poly
+from polymoment import monodromy, series, solver
 from polymoment.cli import main
-from polymoment.poly import chebyshev, poly_to_json
+from polymoment.poly import Tolerances, chebyshev, poly_to_json
 
 SQ3 = math.sqrt(3)
 
@@ -105,6 +107,19 @@ def test_malformed_inputs(tmp_path):
     assert code == 64
     code, _ = run_cli(tmp_path, {"command": "analyze", "P": "garbage", "a": [0, 0], "b": [1, 0]})
     assert code == 64
+    # options and flags that do not convert, or fall outside their range
+    for options in (
+        {"tol-root": "abc"},
+        {"moments": "x"},
+        {"seed": "x"},
+        {"moments": -1},
+        {"tol-moment": "nan"},
+    ):
+        code, _ = run_cli(tmp_path, {**t6_job("verify"), "options": options})
+        assert code == 64, options
+    for extra in (("--moments", "x"), ("--tol-moment", "nan"), ("--tol-root", "-1")):
+        code, _ = run_cli(tmp_path, t6_job("verify"), extra=extra)
+        assert code == 64, extra
 
 
 def test_flag_overrides_command(tmp_path):
@@ -158,36 +173,127 @@ def test_tolerance_override_changes_behavior(tmp_path):
     assert rep["report"]["verdict"] is False
 
 
-def test_tol_cluster_reaches_monodromy(tmp_path, monkeypatch):
-    # --tol-cluster must set the radius of the critical-value clustering in
-    # monodromy, not only the root clustering in poly
-    from polymoment import monodromy as mono
+def _recursive_decompose_job():
+    # Q = T4 = T2(T2) on P = T8 = T4(T2), and T2 separates the endpoints while
+    # T4 identifies them: the split recurses through a sub-instance on T4
+    a, b = math.cos(0.5), math.cos(0.5 + math.pi / 2)
+    return {
+        "command": "decompose",
+        "P": poly_to_json(chebyshev(8)),
+        "a": [a, 0.0],
+        "b": [b, 0.0],
+        "Q": poly_to_json(chebyshev(4)),
+    }
+
+
+REACH_JOBS = {
+    # T8 has nested right factors, so double_decompositions compares them
+    "analyze": lambda: {**_recursive_decompose_job(), "command": "analyze"},
+    "verify": lambda: t6_job("verify"),
+    "decompose": _recursive_decompose_job,
+    "generate": lambda: {"command": "generate"},
+}
+
+
+def _in_tol(args, field):
+    return getattr(args["tol"], field)
+
+
+def _in_inst(args, field):
+    return getattr(args["inst"].tol, field)
+
+
+def _in_self(args, field):
+    return getattr(args["self"].tol, field)
+
+
+def _cut(args, field):
+    return args["tol"]
+
+
+def _radius(args, field):
+    return args["radius"] / (1.0 + max(abs(v) for v in args["vals"]))
+
+
+# (owner, function, what it receives, callers that must pass the flag's value)
+ROOTS = [
+    (monodromy, "roots", _in_tol, {"critical_data", "monodromy"}),
+    (solver, "roots", _in_tol, {"random_reducible_problem"}),
+]
+TRACK = [
+    (monodromy, "continue_branches", _in_tol, {"monodromy", "_locate_branches"}),
+    (series, "continue_branches", _in_tol, {"branch_samples"}),
+]
+DECOMP = [
+    (solver, "decompose_right", _in_tol, {"right_factor_for"}),
+    (solver, "decompose_outer", _in_tol, {"double_decompositions", "decompose_solution"}),
+]
+VIEWS = [(solver, "verify_vanishing", _in_tol, {"verify"})]
+INSTANCE = [
+    (solver, "build_instance", _in_tol, {"decompose_solution"}),
+    (solver.ProblemInstance, "tol_point", _in_self, {"decompose_solution"}),
+    (solver, "right_factor_for", _in_inst, {"decompose_solution"}),
+]
+REACH = {
+    "root": (("analyze", "generate"), ROOTS),
+    "cluster": (
+        ("analyze", "generate"),
+        ROOTS + [
+            (monodromy, "_cluster_values", _radius, {"critical_data"}),
+            (solver, "build_cactus", _in_tol, {"build_instance"}),
+        ],
+    ),
+    "track": (("verify",), TRACK),
+    "decomp": (("analyze", "decompose"), DECOMP),
+    "moment": (("verify",), VIEWS),
+    "phi": (("verify",), VIEWS),
+    "support": (
+        ("decompose",),
+        VIEWS + [(series.PuiseuxSeries, "support", _cut, {"verify_vanishing", "decompose_solution"})],
+    ),
+    "recover": (("decompose",), [(solver, "recover_polynomial", _in_tol, {"decompose_solution"})]),
+    "point": (("decompose",), INSTANCE),
+    "block": (("decompose",), INSTANCE),
+}
+
+
+@pytest.mark.parametrize("field", sorted(REACH))
+def test_tol_flag_reaches_consumers(tmp_path, monkeypatch, field):
+    # each --tol-* flag must reach every consumer of its tolerance, through
+    # every call path, not only the report
+    jobs, consumers = REACH[field]
+    sentinel = 2 * getattr(Tolerances(), field)
     seen = []
-    cluster = mono._cluster_values
+    for k, (owner, name, read, _) in enumerate(consumers):
+        fn = getattr(owner, name)
+        sig = inspect.signature(fn)
 
-    def spy(vals, radius):
-        seen.append((radius, max(abs(v) for v in vals)))
-        return cluster(vals, radius)
+        def spy(*args, _k=k, _fn=fn, _sig=sig, _read=read, **kwargs):
+            bound = _sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append((_k, sys._getframe(1).f_code.co_name, _read(bound.arguments, field)))
+            return _fn(*args, **kwargs)
 
-    monkeypatch.setattr(mono, "_cluster_values", spy)
-    code, rep = run_cli(tmp_path, t6_job("analyze", with_q=False), extra=("--tol-cluster", "1e-6"))
-    assert code == 0
-    assert rep["options"]["tolerances"]["tol-cluster"] == 1e-6
-    assert seen
-    assert all(r == pytest.approx(1e-6 * (1.0 + top)) for r, top in seen)
+        monkeypatch.setattr(owner, name, spy)
+    for job in jobs:
+        code, rep = run_cli(tmp_path, REACH_JOBS[job](), extra=(f"--tol-{field}", repr(sentinel)))
+        assert code == 0, job
+        assert rep["options"]["tolerances"][f"tol-{field}"] == sentinel
+    for k, (_, name, _, callers) in enumerate(consumers):
+        got = [(caller, v) for j, caller, v in seen if j == k and caller in callers]
+        assert {caller for caller, _ in got} == callers, name
+        assert all(v == pytest.approx(sentinel, rel=1e-12, abs=0) for _, v in got), (name, got)
 
 
-def test_tolerance_override_ends_with_job(tmp_path, monkeypatch):
+def test_tolerance_override_ends_with_job(tmp_path):
     # an override set by one job must not leak into the next job of the
     # same process
-    default = poly.TOL_CLUSTER
-    monkeypatch.setattr(poly, "TOL_CLUSTER", default)  # teardown safety net
     job = t6_job("analyze", with_q=False)
     code, rep = run_cli(tmp_path, job, extra=("--tol-cluster", "1e-6"))
     assert code == 0 and rep["options"]["tolerances"]["tol-cluster"] == 1e-6
-    assert poly.TOL_CLUSTER == default
     code, rep = run_cli(tmp_path, job)
-    assert code == 0 and rep["options"]["tolerances"]["tol-cluster"] == default
+    defaults = {f"tol-{k}": v for k, v in asdict(Tolerances()).items()}
+    assert code == 0 and rep["options"]["tolerances"] == defaults
 
 
 def test_internal_error_reported_as_json(tmp_path, capsys):

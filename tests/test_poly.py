@@ -11,7 +11,6 @@ from polymoment.poly import (
     decompose_right,
     derivative,
     eval_poly,
-    from_roots,
     poly_div,
     poly_from_json,
     poly_to_json,
@@ -21,6 +20,14 @@ from polymoment.poly import (
 T2 = chebyshev(2)
 T3 = chebyshev(3)
 T6 = chebyshev(6)
+
+
+def from_roots(rs, lc=1.0):
+    """lc * prod (z - r)."""
+    acc = ComplexPoly([lc])
+    for r in rs:
+        acc = acc * ComplexPoly([-r, 1])
+    return acc
 
 
 def coeff_err(p, q):

@@ -12,7 +12,6 @@ from polymoment.rational import (
     full_space,
     intersect,
     invariant_closure,
-    matrix_rank,
     orth_complement,
     span,
     vec,
@@ -27,6 +26,8 @@ def test_span_examples():
     assert u.dim == 1 and u.basis == ((Fraction(1), Fraction(1)),)
     assert span([], n=3).dim == 0
     assert span([(1, 0), (0, 1)]) == full_space(2)
+    assert span([[1, 2], [2, 4], [0, 1]]).dim == 2
+    assert span([[0, 0], [0, 0]]).dim == 0
 
 
 def test_span_dimension_mismatch():
@@ -157,8 +158,3 @@ def test_intersection_is_lower_bound(pair):
     for row in rows_u:
         if contains(v, row):
             assert contains(w, row)
-
-
-def test_matrix_rank():
-    assert matrix_rank([[1, 2], [2, 4], [0, 1]]) == 2
-    assert matrix_rank([[0, 0], [0, 0]]) == 0

@@ -6,7 +6,7 @@ import pytest
 
 from polymoment.errors import BlockMismatch, InvalidDivisor, NotASolution
 from polymoment.monodromy import cactus_from_generators, f_vectors, tree_path
-from polymoment.permgroup import from_cycles
+from polymoment.permgroup import circulant_from_row, from_cycles, minimal_projector_rows
 from polymoment.poly import ComplexPoly, affine_equivalent, chebyshev, compose
 from polymoment.rational import apply_permutation, contains, span, vec, vector_to_json
 from polymoment.solver import (
@@ -84,9 +84,8 @@ def test_fig1_closure_against_orbit_oracle():
 def test_divisor_set_examples(inst_sq_sym, inst_t6):
     assert inst_sq_sym.S == {2}
     S = inst_t6.S
-    total = sum(
-        len(inst_t6.u_subspace(d).basis) for d in S
-    )
+    rows = minimal_projector_rows(inst_t6.D)
+    total = sum(len(span(circulant_from_row(rows[d]), 6).basis) for d in S)
     assert total == inst_t6.M.dim
     # M of the symmetric Chebyshev instance is U_2 + U_3-free: dim 2 = U_6
     assert 6 in S
