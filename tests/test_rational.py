@@ -26,8 +26,6 @@ def test_span_examples():
     assert u.dim == 1 and u.basis == ((Fraction(1), Fraction(1)),)
     assert span([], n=3).dim == 0
     assert span([(1, 0), (0, 1)]) == full_space(2)
-    assert span([[1, 2], [2, 4], [0, 1]]).dim == 2
-    assert span([[0, 0], [0, 0]]).dim == 0
 
 
 def test_span_dimension_mismatch():
@@ -158,3 +156,9 @@ def test_intersection_is_lower_bound(pair):
     for row in rows_u:
         if contains(v, row):
             assert contains(w, row)
+
+
+def test_matrix_rank():
+    # the rank of a matrix is the dimension of the span of its rows
+    assert span([[1, 2], [2, 4], [0, 1]]).dim == 2
+    assert span([[0, 0], [0, 0]]).dim == 0
