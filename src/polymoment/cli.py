@@ -10,7 +10,8 @@ malformed input.
 Each job builds one `Tolerances` from the --tol-<field> flags and the job's
 "tol-<field>" options (a flag wins) and hands it to its command; the report
 echoes it under options.tolerances.  Numeric flags and options that do not
-convert, a negative count and a tolerance that is negative or not finite are
+convert, a negative count, a seed numpy cannot take, a tolerance that is
+negative or not finite, and a coefficient or endpoint that is not finite are
 malformed input.
 """
 
@@ -38,20 +39,33 @@ from .solver import (
     reducible_generators,
 )
 
+# numpy's RandomState takes seeds below 2**32
+SEED_LIMIT = 2**32
+
+
+def _finite(values, name: str):
+    # JSON's NaN, Infinity and overflowing literals such as 1e400 all parse
+    if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in values):
+        raise MalformedInput(f"field {name!r} has a value that is not finite")
+
 
 def _parse_complex(obj, name: str) -> complex:
     try:
         re, im = obj
-        return complex(float(re), float(im))
+        z = complex(float(re), float(im))
     except Exception as exc:
         raise MalformedInput(f"field {name!r} must be a [re, im] pair") from exc
+    _finite([z], name)
+    return z
 
 
 def _parse_poly(obj, name: str) -> ComplexPoly:
     try:
-        return poly_from_json(obj)
+        p = poly_from_json(obj)
     except Exception as exc:
         raise MalformedInput(f"field {name!r} is not a polynomial object") from exc
+    _finite(p.coeffs, name)
+    return p
 
 
 def _require(job: dict, field: str):
@@ -60,13 +74,16 @@ def _require(job: dict, field: str):
     return job[field]
 
 
-def _count(value, name: str) -> int:
+def _count(value, name: str, limit: int | None = None) -> int:
     try:
         k = int(value)
     except (TypeError, ValueError, OverflowError):
         k = -1
-    if k < 0:
-        raise MalformedInput(f"option {name!r} must be a non-negative integer, got {value!r}")
+    if k < 0 or (limit is not None and k >= limit):
+        bound = "" if limit is None else f" below {limit}"
+        raise MalformedInput(
+            f"option {name!r} must be a non-negative integer{bound}, got {value!r}"
+        )
     return k
 
 
@@ -151,6 +168,9 @@ def run_decompose(job: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
 
 
 def run_generate(job: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
+    # random_reducible_problem seeds numpy with seed * 1009 + attempt, attempt < 25
+    if opts["seed"] * 1009 + 24 >= SEED_LIMIT:
+        raise MalformedInput(f"generate needs seed * 1009 + 24 < 2**32, got seed {opts['seed']}")
     prob = random_reducible_problem(opts["seed"], tol=tol)
     return {
         "P": poly_to_json(prob.P),
@@ -230,7 +250,7 @@ def run_job(job: dict, args) -> tuple[dict, int]:
     opts = {
         "moments": _count(job_opts.get("moments", args.moments), "moments"),
         "truncation": job_opts.get("truncation", args.truncation),
-        "seed": _count(job_opts.get("seed", args.seed), "seed"),
+        "seed": _count(job_opts.get("seed", args.seed), "seed", SEED_LIMIT),
     }
     if opts["truncation"] is not None:
         opts["truncation"] = _count(opts["truncation"], "truncation")

@@ -16,11 +16,18 @@ carries its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeTooLow, InvalidDegree, NoConvergence
+from .errors import (
+    DegenerateInput,
+    DegreeTooLow,
+    InvalidDegree,
+    NoConvergence,
+    NotNormalizable,
+)
 
 
 @dataclass(frozen=True)
@@ -162,6 +169,66 @@ def chebyshev(n: int) -> ComplexPoly:
     for _ in range(n - 1):
         t0, t1 = t1, 2 * X * t1 - t0
     return t1
+
+
+def _dyadic(x: float) -> tuple[int, int]:
+    """(k, e) with x = k / 2**e exactly."""
+    if not math.isfinite(x):
+        raise DegenerateInput(f"non-finite value {x!r}")
+    k, den = x.as_integer_ratio()
+    return k, den.bit_length() - 1
+
+
+def _times_2x(v: list[int]) -> list[int]:
+    """Chebyshev coefficients of 2x * f from those of f: 2x T_0 = 2 T_1 and
+    2x T_l = T_(l+1) + T_(l-1)."""
+    out = [0, *v]
+    out[1] += v[0]
+    out[:-2] = [x + y for x, y in zip(out[:-2], v[1:])]
+    return out
+
+
+def segment_chebyshev(p: ComplexPoly, a: complex, b: complex) -> np.ndarray:
+    """Chebyshev coefficients of x -> p(m + h x), m = (a + b)/2, h = (b - a)/2.
+
+    This is the evaluator of p on the segment [a, b], by Clenshaw at x in
+    [-1, 1].  The float inputs are dyadic rationals, so the substitution and
+    the change of basis run exactly, on Gaussian integers over one common
+    power-of-two scale, and each coefficient is rounded once at the end.  A
+    polynomial that stays small on the segment has small Chebyshev
+    coefficients there, whatever the size of its monomial ones.
+    """
+    a, b = complex(a), complex(b)
+    if p.is_zero():
+        return np.zeros(1, dtype=complex)
+    n = p.degree
+    cs = [_dyadic(v) for c in p.coeffs for v in (c.real, c.imag)]
+    ends = [_dyadic(v) for v in (a.real, a.imag, b.real, b.imag)]
+    ec = max(e for _, e in cs)
+    ez = max(e for _, e in ends)
+    cre = [k << (ec - e) for k, e in cs[0::2]]
+    cim = [k << (ec - e) for k, e in cs[1::2]]
+    ar, ai, br, bi = (k << (ez - e) for k, e in ends)
+    # z = (M + H x) / s with M = ar + br, H = br - ar, s = 2**(ez + 1); then
+    # 2^n s^n 2^ec p(z) = sum_j C_j Y^j (2s)^(n-j) with Y = 2M + H * 2x, whose
+    # Chebyshev coefficients stay integers: homogeneous Horner in Y
+    mr, mi = 2 * (ar + br), 2 * (ai + bi)
+    hr, hi = br - ar, bi - ai
+    step = 1 << (ez + 2)
+    re, im = [cre[n]], [cim[n]]
+    lift = 1
+    for j in range(n - 1, -1, -1):
+        terms = list(zip(re + [0], im + [0], _times_2x(re), _times_2x(im)))
+        re = [mr * r - mi * i + hr * xr - hi * xi for r, i, xr, xi in terms]
+        im = [mr * i + mi * r + hr * xi + hi * xr for r, i, xr, xi in terms]
+        lift *= step
+        re[0] += cre[j] * lift
+        im[0] += cim[j] * lift
+    den = 1 << (ec + n * (ez + 2))
+    try:
+        return np.array([complex(r / den, i / den) for r, i in zip(re, im)])
+    except OverflowError:
+        raise NotNormalizable("p on the segment exceeds the float range") from None
 
 
 def poly_div(p: ComplexPoly, d: ComplexPoly) -> tuple[ComplexPoly, ComplexPoly]:

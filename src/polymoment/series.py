@@ -11,18 +11,26 @@ is computed by power-series Newton inversion of P; sub-series supported on
 an arithmetic progression of indices descend to polynomials in a single
 inverse branch and are recovered by leading-term elimination.
 
+Moments along [a, b] use one kernel: P and Q are converted exactly to the
+Chebyshev basis of the segment (`poly.segment_chebyshev`), evaluated by
+Clenshaw at the nodes of a Gauss-Legendre rule with just enough nodes to
+integrate the integrand exactly, and the rule of each node count is computed
+once per process.
+
 The vanishing verifier combines three independent views of the same
 condition: quadrature moments along [a, b], sampled linear relations among
 branch values for every vector of the invariant subspace, and orthogonality
 of the twist vectors of all live series indices to that subspace.  The last
 view is exact: the twist vector of index k lies in the single piece U_d
 that holds frequency k, so it is orthogonal to the subspace iff that d is
-not in the subspace's divisor set.
+not in the subspace's divisor set.  The report keeps the expansion of view
+(iii), so the decomposition of a verified solution does not recompute it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +44,7 @@ from .errors import (
 )
 from .monodromy import Cactus, MonodromyData, continue_branches
 from .permgroup import DivisorLattice, piece_of
-from .poly import ComplexPoly, Tolerances, derivative, eval_many
+from .poly import ComplexPoly, Tolerances, eval_many, segment_chebyshev
 from .rational import RationalSubspace
 
 # the benchmark (perfbench/run.py) reads these two as the applied defaults
@@ -280,14 +288,38 @@ def recover_polynomial(
 # ---------------------------------------------------------------------------
 
 
-def _gauss_nodes(a: complex, b: complex, count: int):
+@functools.lru_cache(maxsize=32)
+def _gauss_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only: one eigen-solve
+    per node count and process, since counts repeat across queries."""
     x, wt = np.polynomial.legendre.leggauss(count)
-    z = a + (b - a) * (x + 1.0) / 2.0
-    return z, wt * (b - a) / 2.0
+    x.flags.writeable = wt.flags.writeable = False
+    return x, wt
 
 
-def default_nodes(I: int, deg_p: int, deg_q: int) -> int:
-    return max(64, 4 * (I + deg_p * I + deg_q))
+def default_nodes(degree: int) -> int:
+    """Node count of the Gauss rule exact for every integrand of degree below
+    `degree`: m nodes integrate degree 2m - 1 exactly."""
+    return max(1, -(-degree // 2))
+
+
+def _segment_moments(pt: np.ndarray, factors, I: int, nodes: int):
+    """Sums of w_k P~(x_k)^i f(x_k) over the Gauss rule, i = 0..I, and their L1
+    bounds, where P~ has Chebyshev coefficients pt and f is the product of
+    the Chebyshev series in factors: the one quadrature loop on the segment."""
+    # np.polynomial loads on first use, so runs that never integrate skip it
+    chebval = np.polynomial.chebyshev.chebval
+    x, wt = _gauss_rule(nodes)
+    acc = wt.astype(complex)
+    for c in factors:
+        acc = acc * chebval(x, c)
+    pv = chebval(x, pt)
+    moments, scales = [], []
+    for _ in range(I + 1):
+        moments.append(complex(np.sum(acc)))
+        scales.append(float(np.sum(np.abs(acc))))
+        acc = acc * pv
+    return moments, scales
 
 
 def quadrature_moments(
@@ -301,24 +333,18 @@ def quadrature_moments(
 ):
     """Moments m_i = integral over [a, b] of P^i Q' dz, i = 0..I.
 
-    Q is renormalized to Q(a) = 0 first (which does not change Q').  The
-    straight segment suffices: the integrand is entire.  With with_scales,
-    also returns the L1 bounds used for relative smallness tests.
+    The straight segment suffices: the integrand is entire.  With z = m + h x
+    the moment is the integral over [-1, 1] of P~(x)^i dQ~/dx, with P~, Q~
+    in the Chebyshev basis of the segment (`poly.segment_chebyshev`), and
+    the default rule of ceil((I n + deg Q)/2) nodes integrates it exactly.
+    With with_scales, also returns the L1 bounds used for relative
+    smallness tests.
     """
-    Qn = Q - Q(a)
-    q = derivative(Qn)
     if nodes is None:
-        nodes = default_nodes(I, max(P.degree, 0), max(Q.degree, 0))
-    z, wt = _gauss_nodes(a, b, nodes)
-    pv = eval_many(P, z)
-    qv = eval_many(q, z)
-    moments = []
-    scales = []
-    acc = np.ones_like(z)
-    for _ in range(I + 1):
-        moments.append(complex(np.sum(acc * qv * wt)))
-        scales.append(float(np.sum(np.abs(acc * qv * wt))))
-        acc = acc * pv
+        nodes = default_nodes(I * max(P.degree, 0) + max(Q.degree, 0))
+    pt = segment_chebyshev(P, a, b)
+    dq = np.polynomial.chebyshev.chebder(segment_chebyshev(Q, a, b))
+    moments, scales = _segment_moments(pt, [dq], I, nodes)
     if with_scales:
         return moments, scales
     return moments
@@ -332,20 +358,13 @@ def h_series(
     I: int,
     nodes: int | None = None,
 ):
-    """First I+1 Taylor coefficients of -H(t) at infinity: integrals P^i Q P' dz."""
-    Qn = Q - Q(a)
+    """First I+1 Taylor coefficients of -H(t) at infinity: integrals P^i Q P' dz,
+    with Q renormalized to Q(a) = 0."""
     if nodes is None:
-        nodes = default_nodes(I, max(P.degree, 0), max(Q.degree, 0))
-    z, wt = _gauss_nodes(a, b, nodes)
-    pv = eval_many(P, z)
-    qv = eval_many(Qn, z)
-    dpv = eval_many(derivative(P), z)
-    out = []
-    acc = np.ones_like(z)
-    for _ in range(I + 1):
-        out.append(complex(np.sum(acc * qv * dpv * wt)))
-        acc = acc * pv
-    return out
+        nodes = default_nodes((I + 1) * max(P.degree, 0) + max(Q.degree, 0))
+    pt = segment_chebyshev(P, a, b)
+    factors = [segment_chebyshev(Q - Q(a), a, b), np.polynomial.chebyshev.chebder(pt)]
+    return _segment_moments(pt, factors, I, nodes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +383,10 @@ class MomentReport:
     support: list[int]
     puiseux_violations: list[int]
     verdict: bool
+    # the expansion behind view (iii), for decompose_solution: the inverse
+    # branch w of the range-rescaled P and the series of Q - Q(a) in it
+    w: PuiseuxSeries | None = field(default=None, repr=False, compare=False)
+    series: PuiseuxSeries | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -447,9 +470,9 @@ def verify_vanishing(
             rel_res = max(rel_res, abs(np.sum(v * qv)) / sc)
     ok_phi = rel_res <= tol.phi
 
-    if Qn.is_zero():
-        support: list[int] = []
-    else:
+    w = series = None
+    support: list[int] = []
+    if not Qn.is_zero():
         if N is None:
             N = default_truncation(n, Qn.degree)
         w = puiseux_inverse(range_rescaled(P, md), N)
@@ -466,6 +489,8 @@ def verify_vanishing(
         support=support,
         puiseux_violations=violations,
         verdict=bool(ok_moments and ok_phi and ok_puiseux),
+        w=w,
+        series=series,
     )
 
 

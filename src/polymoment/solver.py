@@ -44,16 +44,7 @@ from .permgroup import (
 )
 from .poly import ComplexPoly, Tolerances, compose, decompose_outer, decompose_right, roots
 from .rational import RationalSubspace, span
-from .series import (
-    MomentReport,
-    default_truncation,
-    extract_psi,
-    puiseux_inverse,
-    q_of_inverse,
-    range_rescaled,
-    recover_polynomial,
-    verify_vanishing,
-)
+from .series import MomentReport, extract_psi, recover_polynomial, verify_vanishing
 
 TOL_SUM = 1e-8
 
@@ -269,12 +260,9 @@ def decompose_solution(
     if all(abs(c) <= 1e-12 * qscale for c in Qn.coeffs):
         return []
     tol_pt = inst.tol_point()
-    if N is None:
-        N = default_truncation(n, Qn.degree)
-    # expand against the range-rescaled P: supports and the descended
-    # polynomials are identical, the coefficient profile stays tame
-    w = puiseux_inverse(range_rescaled(P, inst.md), N)
-    series = q_of_inverse(Qn, w)
+    # the verifier's expansion, against the range-rescaled P: supports and the
+    # descended polynomials are identical, the coefficient profile stays tame
+    w, series = report.w, report.series
     ref = series.scale()
     sig = series.support(inst.tol.support, ref_scale=ref)
 

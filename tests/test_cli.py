@@ -20,7 +20,7 @@ SQ3 = math.sqrt(3)
 def run_cli(tmp_path, job, extra=()):  # returns (exit code, report dict)
     inp = tmp_path / "job.json"
     out = tmp_path / "report.json"
-    inp.write_text(json.dumps(job))
+    inp.write_text(job if isinstance(job, str) else json.dumps(job))
     code = main(["--input", str(inp), "--output", str(out), *extra])
     text = out.read_text() if out.exists() else "{}"
     return code, json.loads(text)
@@ -120,6 +120,23 @@ def test_malformed_inputs(tmp_path):
     for extra in (("--moments", "x"), ("--tol-moment", "nan"), ("--tol-root", "-1")):
         code, _ = run_cli(tmp_path, t6_job("verify"), extra=extra)
         assert code == 64, extra
+    # seeds numpy cannot take; generate seeds it with seed * 1009 + attempt
+    for job in (
+        {**t6_job("verify"), "options": {"seed": 2**32}},
+        {"command": "generate", "options": {"seed": 5000000}},
+        {"command": "generate", "options": {"seed": 4256658}},
+    ):
+        code, _ = run_cli(tmp_path, job)
+        assert code == 64, job
+    # values that are not finite: JSON's 1e400, NaN and Infinity all parse
+    for field, literal in (("P", "1e400"), ("b", "1e400"), ("a", "NaN"), ("Q", "-Infinity")):
+        job = t6_job("verify")
+        if field in ("a", "b"):
+            job[field] = [0.5, "@"]
+        else:
+            job[field]["coeffs"][-1] = ["@", 0.0]
+        code, _ = run_cli(tmp_path, json.dumps(job).replace('"@"', literal))
+        assert code == 64, (field, literal)
 
 
 def test_flag_overrides_command(tmp_path):

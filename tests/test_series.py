@@ -1,11 +1,21 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polymoment.errors import InvalidDivisor, RecoveryFailure, TruncationTooShort
+from polymoment import series
+from polymoment.errors import (
+    DegenerateInput,
+    InvalidDivisor,
+    NotNormalizable,
+    RecoveryFailure,
+    TruncationTooShort,
+)
 from polymoment.monodromy import continue_branches, monodromy
-from polymoment.poly import ComplexPoly, chebyshev
+from polymoment.poly import ComplexPoly, chebyshev, segment_chebyshev
 from polymoment.series import (
     brc_elements,
     default_truncation,
@@ -148,6 +158,140 @@ def test_quadrature_t6_solution():
     Q = T2 + T3
     ms = quadrature_moments(T6, Q, -SQ3 / 2, SQ3 / 2, 25)
     assert max(abs(m) for m in ms) <= 1e-10
+
+
+# Fraction reference for the segment conversion: Gaussian rationals as
+# (re, im) pairs, the substitution z = m + h x by Horner in monomials, then
+# x^k = 2^(1-k) sum_j binom(k, j) T_(k-2j), with the T_0 term halved
+
+
+def _fmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _fadd(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _fraction_segment_chebyshev(p, a, b):
+    A, B = (Fraction(a.real), Fraction(a.imag)), (Fraction(b.real), Fraction(b.imag))
+    m = ((A[0] + B[0]) / 2, (A[1] + B[1]) / 2)
+    h = ((B[0] - A[0]) / 2, (B[1] - A[1]) / 2)
+    zero = (Fraction(0), Fraction(0))
+    cs = [(Fraction(c.real), Fraction(c.imag)) for c in p.coeffs]
+    mono = [cs[-1]]
+    for c in reversed(cs[:-1]):
+        out = [zero] * (len(mono) + 1)
+        for k, v in enumerate(mono):
+            out[k] = _fadd(out[k], _fmul(v, m))
+            out[k + 1] = _fadd(out[k + 1], _fmul(v, h))
+        out[0] = _fadd(out[0], c)
+        mono = out
+    cheb = [zero] * len(mono)
+    for k, v in enumerate(mono):
+        for j in range(k // 2 + 1):
+            f = Fraction(2 * math.comb(k, j), 2**k) / (2 if k == 2 * j else 1)
+            cheb[k - 2 * j] = _fadd(cheb[k - 2 * j], (v[0] * f, v[1] * f))
+    return [complex(float(re), float(im)) for re, im in cheb]
+
+
+# every float is m * 2^e; these cover the exponents of typical inputs, with
+# endpoints of modulus below 12 so that p stays in range on the segment
+_mantissa = st.integers(-(2**53), 2**53)
+_cplx = st.builds(complex, *[st.builds(math.ldexp, _mantissa, st.integers(-80, 4))] * 2)
+_end = st.builds(complex, *[st.builds(math.ldexp, _mantissa, st.integers(-90, -50))] * 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 48).flatmap(lambda n: st.lists(_cplx, min_size=n + 1, max_size=n + 1)),
+    _end,
+    _end,
+)
+def test_segment_chebyshev_matches_fraction_reference(coeffs, a, b):
+    p = ComplexPoly(coeffs)
+    got = [complex(c) for c in segment_chebyshev(p, a, b)]
+    want = _fraction_segment_chebyshev(p, a, b) if not p.is_zero() else [0j]
+    assert got == want
+
+
+def test_segment_chebyshev_out_of_range():
+    # z^37 on [0, 2.2e8 i] is h^37 (1 + x)^37 with h = 1.1e8 i, whose value at
+    # x = 1 is about 1e309: a typed error, not an OverflowError from rounding
+    with pytest.raises(NotNormalizable):
+        segment_chebyshev(ComplexPoly([0] * 37 + [1j]), 0, 224561568j)
+    with pytest.raises(DegenerateInput):
+        segment_chebyshev(ComplexPoly([1, math.inf]), -1, 1)
+
+
+def _fraction_moment(P, Q, a, b, i):
+    """integral over [a, b] of P^i Q' dz, exactly, from the antiderivative."""
+
+    def mul(x, y):
+        out = [Fraction(0)] * (len(x) + len(y) - 1)
+        for j, u in enumerate(x):
+            for k, v in enumerate(y):
+                out[j + k] += u * v
+        return out
+
+    f = [k * c for k, c in enumerate(Q)][1:] or [Fraction(0)]
+    for _ in range(i):
+        f = mul(f, P)
+    return sum(c / (k + 1) * (b ** (k + 1) - a ** (k + 1)) for k, c in enumerate(f))
+
+
+@pytest.mark.parametrize(
+    "P, Q, I",
+    [
+        (
+            [Fraction(1, 8), Fraction(-1, 4), 0, Fraction(3, 2)],
+            [0, Fraction(-1, 2), Fraction(5, 4)],
+            8,
+        ),
+        ([0, 1, Fraction(-3, 4)], [Fraction(7, 16), 0, Fraction(1, 2), Fraction(-9, 8)], 9),
+    ],
+)
+def test_quadrature_exact_rule_matches_fraction_moments(monkeypatch, P, Q, I):
+    a, b = Fraction(-3, 4), Fraction(5, 8)
+    counts = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def spy(count):
+        counts.append(count)
+        return leggauss(count)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", spy)
+    series._gauss_rule.cache_clear()
+    Pc, Qc = ComplexPoly([float(c) for c in P]), ComplexPoly([float(c) for c in Q])
+    ms, scales = quadrature_moments(Pc, Qc, float(a), float(b), I, with_scales=True)
+    n, dq = len(P) - 1, len(Q) - 1
+    assert counts == [math.ceil((I * n + dq) / 2)]
+    for i, (m, s) in enumerate(zip(ms, scales)):
+        assert abs(m - float(_fraction_moment(P, Q, a, b, i))) <= 1e-14 * s
+    # the rule is computed once per node count, and handed out read-only
+    quadrature_moments(Pc, Qc, float(a), float(b), I)
+    assert len(counts) == 1
+    x, wt = series._gauss_rule(counts[0])
+    assert not x.flags.writeable and not wt.flags.writeable
+
+
+@pytest.mark.parametrize("n", [24, 36, 48])
+def test_moment_residual_at_rounding_level(n):
+    # evaluated in monomials, where sum |c_j||z|^j reaches 1.1e16 for T_48
+    # while |T_48| <= 1, the residuals were 1.1e-10, 5.6e-7 and 2.4e-2
+    P, Q = chebyshev(n), chebyshev(n // 2)
+    ms, scales = quadrature_moments(P, Q, -SQ3 / 2, SQ3 / 2, 25, with_scales=True)
+    assert max(abs(m) / (s + 1.0) for m, s in zip(ms, scales)) <= 1e-14
+
+
+def test_t24_solutions_moment_residual():
+    inst = build_instance(chebyshev(24), -SQ3 / 2, SQ3 / 2)
+    rng = np.random.RandomState(24)
+    for _ in range(20):
+        c2, c3 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        rep = inst.verify(c2 * T2 + c3 * T3)
+        assert rep.verdict
+        assert rep.moment_residual <= 1e-12
 
 
 def test_h_series_examples_and_identity():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from polymoment import solver
 from polymoment.errors import BlockMismatch, InvalidDivisor, NotASolution
 from polymoment.monodromy import cactus_from_generators, f_vectors, tree_path
 from polymoment.permgroup import circulant_from_row, from_cycles, minimal_projector_rows
@@ -204,8 +205,9 @@ def test_decompose_solution_rejects_nonsolution(inst_sq_sym):
 
 
 def test_decompose_solution_recursive_path():
-    # T3(a) = -T3(b) = 1/2 but T6(a) = T6(b): the degree-3 factor separates
-    # the endpoints and the split must recurse through the outer quadratic
+    # T3(a) = -T3(b) = 1/2 but T6(a) = T6(b); Q = T3^2 = (T6 + 1)/2 is R(P),
+    # so the series lives on nZ and the split returns through its all-nZ
+    # branch, with P itself as the one factor and no sub-instance
     a, b = math.cos(math.pi / 9), math.cos(2 * math.pi / 9)
     inst = build_instance(T6, a, b)
     Q = T3 * T3
@@ -216,6 +218,28 @@ def test_decompose_solution_recursive_path():
     Qn = Q - Q(a)
     total = summands[0].Q
     assert max(abs(x - y) for x, y in zip(total.coeffs, Qn.coeffs)) <= 1e-8
+
+
+def test_decompose_solution_builds_sub_instance(monkeypatch):
+    # T2 separates a and b while T4 and T8 identify them: the part of Q = T4
+    # extracted through the quadratic factor must recurse on the outer quartic
+    a, b = math.cos(0.5), math.cos(0.5 + math.pi / 2)
+    inst = build_instance(chebyshev(8), a, b)
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return build_instance(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "build_instance", spy)
+    Q = chebyshev(4)
+    summands = decompose_solution(inst, Q)
+    assert built and all(args[0].degree == 4 for args in built)
+    total = ComplexPoly()
+    for s in summands:
+        total = total + s.Q
+    Qn = Q - Q(a)
+    assert max(abs(c) for c in (total - Qn).coeffs) <= 1e-8 * Qn.coeff_scale()
 
 
 def test_decompose_zero_solution(inst_sq_sym):
