@@ -5,10 +5,15 @@ by non-crossing arcs) under a degree-n polynomial P is a planar tree: n
 "star" centers, one per inverse branch, and colored vertices, one per cycle
 of the local permutation at each critical value.  Loops around the critical
 values are tracked numerically to produce the permutations g_1..g_k and the
-loop around infinity: an Euler predictor and a Newton corrector capped at 8
-updates act on the full fiber, the step doubles after an accepted step and
-halves after a rejected one, and P, P' and the rounding floor come from one
-fused power-table kernel.  Branches are then relabeled so that the infinity
+loop around infinity.  Each loop is a lasso that stops at its circle: the
+fiber goes from c to the point q where the circle starts, round the circle,
+and is matched against the fiber recorded at q (the way back from q to c
+would only carry the labels along the same segment).  An Euler predictor
+and a Newton corrector capped at 8 updates act on the full fiber; a step
+whose predictor already moves a branch too far is halved before the
+corrector runs, the step doubles after an accepted step and halves after a
+rejected one, and P, P' and the rounding floor come from one fused
+power-table kernel.  Branches are then relabeled so that the infinity
 permutation is exactly (1 2 ... n).
 
 Conventions, fixed once and verified by the branch-consistency tests:
@@ -203,17 +208,18 @@ def _poly_arrays(P: ComplexPoly):
     return c, np.array(derivative(P).coeffs), np.abs(c)
 
 
-def _power_sums(c, dc, ac, w):
+def _power_sums(c, dc, ac, w, magnitude: bool = True):
     """P(w), P'(w) and sum_j |c_j| |w|^j from one table of powers of w.
 
     Row i of the table is 1, w_i, w_i^2, ...; the magnitude sum times eps
     bounds the rounding error of P(w), so it sets the correctors' floor.
+    Newton updates only need P and P': magnitude=False returns None for it.
     """
     V = np.empty((len(w), len(c)), dtype=complex)
     V[:, 0] = 1.0
     V[:, 1:] = w[:, None]
     np.cumprod(V, axis=1, out=V)
-    return V @ c, V[:, :-1] @ dc, np.abs(V) @ ac
+    return V @ c, V[:, :-1] @ dc, (np.abs(V) @ ac if magnitude else None)
 
 
 def _min_sep(w) -> float:
@@ -237,7 +243,7 @@ def _correct(arrays, z, w, tol_abs):
         if not dv.all():
             return w, dv, False
         w = w - r / dv
-        pv, dv, _ = _power_sums(*arrays, w)
+        pv, dv, _ = _power_sums(*arrays, w, magnitude=False)
     return w, dv, bool((np.abs(pv - z) <= tol).all())
 
 
@@ -254,7 +260,7 @@ def polish_fiber(P: ComplexPoly, z: complex, w, iters: int = 40):
         w = w - step
         if float(np.max(np.abs(step))) <= 1e-16 * float(np.max(np.abs(w)) + 1):
             break
-        pv, dv, _ = _power_sums(*arrays, w)
+        pv, dv, _ = _power_sums(*arrays, w, magnitude=False)
     return w
 
 
@@ -270,12 +276,14 @@ def continue_branches(
     Each straight piece z0 -> z1 is stepped in its parameter t in [0, 1]:
     Euler predictor (with P' of the last accepted fiber), then at most
     CORRECTOR_ITERS Newton updates on every branch.  A step is rejected and
-    its length halved when the corrector misses the tolerance or any branch
-    moves by more than a third of the current minimal branch separation
-    (which would make the implicit matching ambiguous); after an accepted
-    step the length grows by STEP_GROWTH.  Raises TrackingFailure when
-    halving bottoms out, which happens only if the path passes essentially
-    through a critical value.
+    its length halved when any branch moves by more than a third of the
+    current minimal branch separation (which would make the implicit
+    matching ambiguous), tested first on the predictor, so the corrector
+    runs only on steps that pass, and again on the corrected fiber; it is
+    also rejected when the corrector misses the tolerance.  After an
+    accepted step the length grows by STEP_GROWTH.  Raises TrackingFailure
+    when halving bottoms out, which happens only if the path passes
+    essentially through a critical value.
 
     With record_at = list of indices into `path`, also returns the fiber at
     those waypoints.
@@ -283,7 +291,7 @@ def continue_branches(
     arrays = _poly_arrays(P)
     sep_floor = 1e-12 * (1 + P.coeff_scale())
     w = np.array(start, dtype=complex)
-    _, dv, _ = _power_sums(*arrays, w)
+    _, dv, _ = _power_sums(*arrays, w, magnitude=False)
     sep = _min_sep(w)
     recorded = {}
     if record_at is not None and 0 in record_at:
@@ -294,15 +302,16 @@ def continue_branches(
         while t < 1.0:
             tb = min(t + h, 1.0)
             zb = z1 if tb == 1.0 else z0 + tb * (z1 - z0)
-            pred = w + (zb - za) / np.where(dv == 0, 1e-300, dv)
-            w_new, dv_new, ok = _correct(arrays, zb, pred, tol.track * (abs(zb) + 1.0))
-            if ok and float(np.max(np.abs(w_new - w))) <= 0.34 * sep:
-                sep_new = _min_sep(w_new)
-                if sep_new >= sep_floor:
-                    w, dv, sep = w_new, dv_new, sep_new
-                    t, za = tb, zb
-                    h *= STEP_GROWTH
-                    continue
+            dw = (zb - za) / np.where(dv == 0, 1e-300, dv)
+            if float(np.max(np.abs(dw))) <= 0.34 * sep:
+                w_new, dv_new, ok = _correct(arrays, zb, w + dw, tol.track * (abs(zb) + 1.0))
+                if ok and float(np.max(np.abs(w_new - w))) <= 0.34 * sep:
+                    sep_new = _min_sep(w_new)
+                    if sep_new >= sep_floor:
+                        w, dv, sep = w_new, dv_new, sep_new
+                        t, za = tb, zb
+                        h *= STEP_GROWTH
+                        continue
             if abs(zb - za) <= 1e-14 * (1.0 + abs(za) + abs(zb)):
                 raise TrackingFailure(
                     f"step control collapsed near z = {za:.6g}"
@@ -342,12 +351,34 @@ def _circle(center: complex, radius: float, start_angle: float, ccw: bool, segme
 
 
 def _loop_around(c: complex, value: complex, radius: float):
-    """Lasso: straight arc from c to the circle, CCW circle, arc back."""
+    """Lasso stopped at the circle: straight arc from c to the point q of the
+    circle nearest c, then the CCW circle back to q."""
     u = (value - c) / abs(value - c)
     q = value - radius * u
     ang = float(np.angle(q - value))
     circle = _circle(value, radius, ang, ccw=True, segments=CIRCLE_SEGMENTS)
-    return [c, q] + circle[1:] + [c]
+    return [c, q] + circle[1:]
+
+
+def _loop_radius(c: complex, values, s: int) -> float:
+    """Half the distance from values[s] to the nearest other value and to c."""
+    cs = values[s]
+    others = [abs(cs - ct) for t, ct in enumerate(values) if t != s]
+    r = 0.5 * min(others) if others else 0.5 * abs(c - cs)
+    return min(r, 0.5 * abs(c - cs))
+
+
+def _lassos(c: complex, values, n: int):
+    """The k + 1 lassos from c, each ending where its circle started: one
+    around every value, then the clockwise big circle around all of them."""
+    loops = [_loop_around(c, cs, _loop_radius(c, values, s)) for s, cs in enumerate(values)]
+    ctr = sum(values) / len(values)
+    r_big = 2.0 * max(abs(v - ctr) for v in values) + 3.0 * abs(c - ctr) + 1.0
+    u = (c - ctr) / abs(c - ctr)
+    circle = _circle(ctr, r_big, float(np.angle(u)), ccw=False,
+                     segments=max(CIRCLE_SEGMENTS, 2 * n))
+    loops.append([c, ctr + r_big * u] + circle[1:])
+    return loops
 
 
 def monodromy(
@@ -371,25 +402,11 @@ def monodromy(
     c = choose_basepoint(values)
     fiber = polish_fiber(P, c, roots(P - c, tol, seed=seed))
 
-    k = len(values)
-    gens = []
-    for s, cs in enumerate(values):
-        others = [abs(cs - ct) for t, ct in enumerate(values) if t != s]
-        r = 0.5 * min(others) if others else 0.5 * abs(c - cs)
-        r = min(r, 0.5 * abs(c - cs))
-        loop = _loop_around(c, cs, r)
-        end = continue_branches(P, loop, fiber, tol)
-        gens.append(_match_permutation(fiber, end))
-
-    ctr = sum(values) / len(values)
-    r_big = 2.0 * max(abs(v - ctr) for v in values) + 3.0 * abs(c - ctr) + 1.0
-    u = (c - ctr) / abs(c - ctr)
-    p0 = ctr + r_big * u
-    circle = _circle(ctr, r_big, float(np.angle(u)), ccw=False,
-                     segments=max(CIRCLE_SEGMENTS, 2 * n))
-    loop_inf = [c, p0] + circle[1:] + [c]
-    end = continue_branches(P, loop_inf, fiber, tol)
-    g_inf = _match_permutation(fiber, end)
+    perms = []
+    for loop in _lassos(c, values, n):
+        end, at = continue_branches(P, loop, fiber, tol, record_at=[1])
+        perms.append(_match_permutation(at[1], end))
+    gens, g_inf = perms[:-1], perms[-1]
 
     prod = identity(n)
     for g in gens:
@@ -458,11 +475,8 @@ def _locate_branches(
     """Branch indices whose values converge to `point` along the s-th arc."""
     c = md.base_point
     cs = md.critical_values[s - 1]
-    others = [abs(cs - ct) for t, ct in enumerate(md.critical_values) if t != s - 1]
-    r = 0.5 * min(others) if others else 0.5 * abs(c - cs)
-    r = min(r, 0.5 * abs(c - cs))
     u = (c - cs) / abs(c - cs)
-    delta = 1e-2 * r
+    delta = 1e-2 * _loop_radius(c, md.critical_values, s - 1)
     w = np.array(md.fiber, dtype=complex)
     z_cur = c
     for _ in range(7):

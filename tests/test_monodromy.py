@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polymoment.errors import DegenerateInput, TreeViolation
+from polymoment import monodromy as mono
+from polymoment.errors import DegenerateInput, TrackingFailure, TreeViolation
 from polymoment.monodromy import (
     build_cactus,
     cactus_from_generators,
@@ -16,12 +17,17 @@ from polymoment.monodromy import (
     f_vectors,
     monodromy,
     multiplicity_at,
+    polish_fiber,
     tree_path,
+    _lassos,
+    _match_permutation,
+    _min_sep,
     _poly_arrays,
     _power_sums,
 )
-from polymoment.permgroup import from_cycles, full_cycle, identity
-from polymoment.poly import ComplexPoly, chebyshev, compose, derivative, eval_many
+from polymoment.permgroup import Permutation, from_cycles, full_cycle, identity
+from polymoment.poly import ComplexPoly, Tolerances, chebyshev, compose, derivative, eval_many, roots
+from polymoment.solver import random_reducible_problem
 
 SQ3 = math.sqrt(3)
 T6 = chebyshev(6)
@@ -92,6 +98,52 @@ def test_continue_branches_power_rotation(n):
     end = continue_branches(zn, loop, start)
     eps = np.exp(2j * np.pi / n)
     assert max(abs(e - s * eps) for e, s in zip(end, start)) < 1e-9
+
+
+def test_continue_branches_through_critical_value_fails():
+    # z^2 along [-1, 1] runs through its critical value 0, where the two
+    # branches +-i sqrt(-z) collide: the step control must give up
+    sq = ComplexPoly([0, 0, 1])
+    with pytest.raises(TrackingFailure):
+        continue_branches(sq, [-1.0, 1.0], [1j, -1j])
+
+
+def test_match_permutation_ambiguous():
+    start = [1.0, -1.0, 2j]
+    assert _match_permutation(start, [-1.0, 2j, 1.0]).images == (2, 3, 1)
+    # a branch that lands farther than sep/3 from every start value, and two
+    # branches that land on the same start value
+    for end in ([1.0, -0.2, 2j], [1.0, 1.0 + 1e-9, 2j]):
+        with pytest.raises(TrackingFailure):
+            _match_permutation(start, end)
+
+
+def test_predictor_rejects_before_corrector(monkeypatch):
+    # z^2 from 1 to 1000 in one piece: the first predictors move branch 1 by
+    # (z - 1)/2 against a separation of 2, so every step longer than 2^-10
+    # of the piece is halved before its corrector runs
+    sq = ComplexPoly([0, 0, 1])
+    calls = []
+    real = mono._correct
+
+    def spy(arrays, z, pred, tol_abs):
+        out = real(arrays, z, pred, tol_abs)
+        calls.append((z, pred, out))
+        return out
+
+    monkeypatch.setattr(mono, "_correct", spy)
+    end = continue_branches(sq, [1.0, 1000.0], [1.0, -1.0])
+    assert np.allclose(end, [1000**0.5, -(1000**0.5)], rtol=1e-12)
+    assert calls[0][0] == 1.0 + 2.0**-10 * 999.0
+    # replay the acceptance rule: every corrector call starts from a
+    # predictor within 0.34 sep of the last accepted fiber
+    w = np.array([1.0, -1.0], dtype=complex)
+    for z, pred, (w_new, _, ok) in calls:
+        sep = _min_sep(w)
+        assert float(np.max(np.abs(pred - w))) <= 0.34 * sep, z
+        if ok and float(np.max(np.abs(w_new - w))) <= 0.34 * sep:
+            w = w_new
+    assert np.array_equal(w, end)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 9])
@@ -274,6 +326,9 @@ def test_power_sums_match_horner(coeffs, points):
     assert np.all(np.abs(dv - eval_many(dP, w)) <= 64e-16 * magnitude_sum(dP))
     # |w^j| from the power table vs |w|^j: equal up to j roundings
     assert np.all(np.abs(mag - exact) <= 4 * len(coeffs) * np.finfo(float).eps * exact)
+    # the Newton updates skip the magnitude sum and get the same P, P'
+    pv2, dv2, none = _power_sums(*_poly_arrays(P), w, magnitude=False)
+    assert none is None and np.array_equal(pv2, pv) and np.array_equal(dv2, dv)
 
 
 def _composite_6x3():
@@ -331,3 +386,32 @@ def test_golden_monodromy(name):
     assert [list(g.images) for g in md.generators] == gens
     assert md.g_inf.images == full_cycle(P.degree).images
     assert list(cac.V_a) == V_a and list(cac.V_b) == V_b
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN) + [f"random{s}" for s in range(8)])
+def test_lasso_matches_round_trip(name):
+    # oracle: the full round trip c -> q -> circle -> c, matched against the
+    # basepoint fiber, must give the permutation that monodromy reads at q
+    if name.startswith("random"):
+        prob = random_reducible_problem(int(name[len("random"):]))
+        P, a, b = prob.P, prob.a, prob.b
+    else:
+        P, a, b = _golden_case(name)
+    md = monodromy(P, a, b)
+    c, n = md.base_point, P.degree
+    fiber = polish_fiber(P, c, roots(P - c, Tolerances()))
+    # undo the relabelling: md.fiber holds the same roots in md's numbering
+    new = [md.fiber.index(complex(w)) + 1 for w in fiber]
+    old = [0] * n
+    for i, j in enumerate(new, start=1):
+        old[j - 1] = i
+
+    def raw(g):
+        return Permutation([old[g(new[i - 1]) - 1] for i in range(1, n + 1)])
+
+    round_trip = [
+        _match_permutation(fiber, continue_branches(P, loop + [c], fiber))
+        for loop in _lassos(c, md.critical_values, n)
+    ]
+    assert [raw(g).images for g in md.generators] == [g.images for g in round_trip[:-1]]
+    assert raw(md.g_inf).images == round_trip[-1].images
