@@ -10,9 +10,10 @@ malformed input.
 Each job builds one `Tolerances` from the --tol-<field> flags and the job's
 "tol-<field>" options (a flag wins) and hands it to its command; the report
 echoes it under options.tolerances.  Numeric flags and options that do not
-convert, a negative count, a seed numpy cannot take, a tolerance that is
-negative or not finite, and a coefficient or endpoint that is not finite are
-malformed input.
+convert, a count that is a boolean or has a fractional part, a negative
+count, a seed numpy cannot take, a tolerance that is negative or not finite,
+a coefficient or endpoint that is not finite, and an --output file that
+cannot be written are malformed input.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ def _require(job: dict, field: str):
 
 
 def _count(value, name: str, limit: int | None = None) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        value = None  # int() would take true as 1 and truncate 2.9 to 2
     try:
         k = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -306,8 +309,12 @@ def main(argv=None) -> int:
 
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(json.dumps({"error": "MalformedInput", "detail": str(exc)}), file=sys.stderr)
+            return 64
     else:
         print(text)
     return code

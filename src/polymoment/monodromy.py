@@ -177,8 +177,8 @@ def choose_basepoint(values) -> complex:
 def critical_data(P: ComplexPoly, a: complex, b: complex, tol: Tolerances = Tolerances()):
     """Distinct finite critical values, supplemented by P(a), P(b) if needed.
 
-    Returns (values, supplemented_flags), ordered counterclockwise by angle
-    around the basepoint the sweep would choose.
+    Returns (values, supplemented_flags, c): the basepoint c chosen for the
+    values, which are ordered counterclockwise by angle around it.
     """
     if P.degree < 2:
         raise DegenerateInput("deg P must be >= 2")
@@ -195,7 +195,7 @@ def critical_data(P: ComplexPoly, a: complex, b: complex, tol: Tolerances = Tole
             flags.append(True)
     c = choose_basepoint(values)
     order = sorted(range(len(values)), key=lambda i: np.angle(values[i] - c))
-    return [values[i] for i in order], [flags[i] for i in order]
+    return [values[i] for i in order], [flags[i] for i in order], c
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +247,13 @@ def _correct(arrays, z, w, tol_abs):
     return w, dv, bool((np.abs(pv - z) <= tol).all())
 
 
-def polish_fiber(P: ComplexPoly, z: complex, w, iters: int = 40):
+def polish_fiber(P: ComplexPoly, z: complex, w):
     """Newton-polish approximate fiber values down to the machine floor."""
     arrays = _poly_arrays(P)
     w = np.array(w, dtype=complex)
     pv, dv, mag = _power_sums(*arrays, w)
     floor = 64e-16 * (mag + abs(z))
-    for _ in range(iters):
+    for _ in range(40):
         if (np.abs(pv - z) <= floor).all():
             break
         step = (pv - z) / np.where(dv == 0, 1e-300, dv)
@@ -264,14 +264,11 @@ def polish_fiber(P: ComplexPoly, z: complex, w, iters: int = 40):
     return w
 
 
-def continue_branches(
-    P: ComplexPoly,
-    path,
-    start,
-    tol: Tolerances = Tolerances(),
-    record_at=None,
-):
+def continue_branches(P: ComplexPoly, path, start, tol: Tolerances = Tolerances()):
     """Continue the full fiber of P along a polyline of sample points.
+
+    Returns the fiber at every waypoint, one array per point of `path`: the
+    first is `start` itself, the last the fiber at the end of the path.
 
     Each straight piece z0 -> z1 is stepped in its parameter t in [0, 1]:
     Euler predictor (with P' of the last accepted fiber), then at most
@@ -284,18 +281,13 @@ def continue_branches(
     accepted step the length grows by STEP_GROWTH.  Raises TrackingFailure
     when halving bottoms out, which happens only if the path passes
     essentially through a critical value.
-
-    With record_at = list of indices into `path`, also returns the fiber at
-    those waypoints.
     """
     arrays = _poly_arrays(P)
     sep_floor = 1e-12 * (1 + P.coeff_scale())
     w = np.array(start, dtype=complex)
     _, dv, _ = _power_sums(*arrays, w, magnitude=False)
     sep = _min_sep(w)
-    recorded = {}
-    if record_at is not None and 0 in record_at:
-        recorded[0] = w.copy()
+    fibers = [w]
     for seg in range(len(path) - 1):
         z0, z1 = complex(path[seg]), complex(path[seg + 1])
         t, h, za = 0.0, 1.0, z0
@@ -317,11 +309,8 @@ def continue_branches(
                     f"step control collapsed near z = {za:.6g}"
                 )
             h = 0.5 * (tb - t)
-        if record_at is not None and (seg + 1) in record_at:
-            recorded[seg + 1] = w.copy()
-    if record_at is not None:
-        return w, recorded
-    return w
+        fibers.append(w)
+    return fibers
 
 
 def _match_permutation(start, end) -> Permutation:
@@ -398,14 +387,13 @@ def monodromy(
     deterministic choice.
     """
     n = P.degree
-    values, flags = critical_data(P, a, b, tol)
-    c = choose_basepoint(values)
+    values, flags, c = critical_data(P, a, b, tol)
     fiber = polish_fiber(P, c, roots(P - c, tol, seed=seed))
 
     perms = []
     for loop in _lassos(c, values, n):
-        end, at = continue_branches(P, loop, fiber, tol, record_at=[1])
-        perms.append(_match_permutation(at[1], end))
+        fibers = continue_branches(P, loop, fiber, tol)
+        perms.append(_match_permutation(fibers[1], fibers[-1]))
     gens, g_inf = perms[:-1], perms[-1]
 
     prod = identity(n)
@@ -421,25 +409,16 @@ def monodromy(
             f"branching deficiency {deficiency} != {n - 1}; critical values miscounted"
         )
 
-    # relabel so that g_inf becomes (1 2 ... n), branch 1 = first fiber root
-    new_of_old = [0] * (n + 1)
-    old = 1
-    for lbl in range(1, n + 1):
-        new_of_old[old] = lbl
-        old = g_inf(old)
-
-    def relabel(g: Permutation) -> Permutation:
-        images = [0] * n
-        for i in range(1, n + 1):
-            images[new_of_old[i] - 1] = new_of_old[g(i)]
-        return Permutation(images)
-
-    gens = [relabel(g) for g in gens]
-    g_inf = relabel(g_inf)
+    # relabel so that g_inf becomes (1 2 ... n), branch 1 = first fiber root:
+    # new label l carries old branch g_inf^(l-1)(1), and r conjugates
+    old_of_new = [1]
+    while len(old_of_new) < n:
+        old_of_new.append(g_inf(old_of_new[-1]))
+    r = Permutation(old_of_new)
+    gens = [r * g * r.inverse() for g in gens]
+    g_inf = r * g_inf * r.inverse()
     assert g_inf.images == full_cycle(n).images
-    new_fiber = [0j] * n
-    for i in range(1, n + 1):
-        new_fiber[new_of_old[i] - 1] = complex(fiber[i - 1])
+    new_fiber = [complex(fiber[i - 1]) for i in old_of_new]
     return MonodromyData(
         n=n,
         base_point=c,
@@ -456,13 +435,13 @@ def monodromy(
 # ---------------------------------------------------------------------------
 
 
-def multiplicity_at(P: ComplexPoly, z: complex, tol: float = 1e-8) -> int:
+def multiplicity_at(P: ComplexPoly, z: complex) -> int:
     """Order of vanishing of P - P(z) at z, by scaled derivative tests."""
     q = derivative(P)
     m = 1
     while q.degree >= 0:
         scale = sum(abs(cf) * max(1.0, abs(z)) ** j for j, cf in enumerate(q.coeffs))
-        if abs(q(z)) > tol * (scale + 1.0):
+        if abs(q(z)) > 1e-8 * (scale + 1.0):
             return m
         q = derivative(q)
         m += 1
@@ -481,7 +460,7 @@ def _locate_branches(
     z_cur = c
     for _ in range(7):
         q = cs + delta * u
-        w = continue_branches(P, [z_cur, q], w, tol)
+        w = continue_branches(P, [z_cur, q], w, tol)[-1]
         z_cur = q
         dists = sorted(
             (abs(wi - point), i + 1) for i, wi in enumerate(w)

@@ -8,6 +8,11 @@ Right-factor decomposition p = A(B(z)) is normalized so that B is monic with
 B(0) = 0; with that normalization the pair (A, B) is unique for a given
 degree of B, which makes decompositions comparable and testable.
 
+Evaluation has one Horner kernel per shape: `eval_poly` at a single point
+and `eval_many` over an array (the root finder's P, P' and rounding scale,
+and the verifier's branch samples).  On a segment, `segment_chebyshev` plus
+Clenshaw is the evaluator.
+
 The settable thresholds of the numerical checks live in one frozen
 `Tolerances`, defined here because every module that checks against one
 imports this module.  Callers pass it explicitly; a `ProblemInstance`
@@ -133,12 +138,20 @@ def eval_poly(p: ComplexPoly, z: complex) -> complex:
     return acc
 
 
-def eval_many(p: ComplexPoly, z: np.ndarray) -> np.ndarray:
-    """Horner evaluation over a numpy array of points."""
+def eval_many(p: ComplexPoly, z: np.ndarray, magnitude: bool = False):
+    """Horner values of p over a numpy array of points.
+
+    With magnitude, the same loop also returns sum_j |c_j| |z|^j, the scale
+    of the rounding error of each value: (values, magnitude sums).
+    """
     acc = np.zeros_like(z, dtype=complex)
+    if magnitude:
+        scale, az = np.zeros(z.shape), np.abs(z)
     for c in reversed(p.coeffs):
         acc = acc * z + c
-    return acc
+        if magnitude:
+            scale = scale * az + abs(c)
+    return (acc, scale) if magnitude else acc
 
 
 def derivative(p: ComplexPoly) -> ComplexPoly:
@@ -251,29 +264,20 @@ def poly_div(p: ComplexPoly, d: ComplexPoly) -> tuple[ComplexPoly, ComplexPoly]:
 # root finding
 # ---------------------------------------------------------------------------
 
-
-def _eval_with_scale(coeffs, z):
-    """Horner value and the running magnitude sum used as a backward-error scale."""
-    acc = np.zeros_like(z)
-    scale = np.zeros(z.shape, dtype=float)
-    az = np.abs(z)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-        scale = scale * az + abs(c)
-    return acc, scale
+# Aberth iterations per start, and starts (one on a circle, then random)
+MAX_ITER = 600
+RESTARTS = 8
 
 
-def _aberth_pass(coeffs, zs, tol, max_iter):
+def _aberth_pass(p, zs, tol):
     """Ehrlich-Aberth simultaneous iteration; returns (roots, converged)."""
-    pscale = max(abs(c) for c in coeffs)
-    dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
-    for _ in range(max_iter):
-        pv, sc = _eval_with_scale(coeffs, zs)
+    pscale = p.coeff_scale()
+    dp = derivative(p)
+    for _ in range(MAX_ITER):
+        pv, sc = eval_many(p, zs, magnitude=True)
         if np.all(np.abs(pv) <= tol * (sc + pscale)):
             return zs, True
-        dv = np.zeros_like(zs)
-        for c in reversed(dcoeffs):
-            dv = dv * zs + c
+        dv = eval_many(dp, zs)
         dv = np.where(dv == 0, 1e-300, dv)
         w = pv / dv
         diff = zs[:, None] - zs[None, :]
@@ -290,7 +294,7 @@ def _aberth_pass(coeffs, zs, tol, max_iter):
         big = mag > lim
         step = np.where(big, step / np.where(big, mag, 1.0) * lim, step)
         zs = zs - step
-    pv, sc = _eval_with_scale(coeffs, zs)
+    pv, sc = eval_many(p, zs, magnitude=True)
     return zs, bool(np.all(np.abs(pv) <= 1e3 * tol * (sc + pscale)))
 
 
@@ -317,23 +321,17 @@ def _cluster(points, radius):
     return list(groups.values())
 
 
-def _refine_multiple(coeffs, z0, m):
+def _refine_multiple(p, z0, m):
     """Newton-polish an m-fold root candidate on the (m-1)-st derivative."""
-    cs = list(coeffs)
     for _ in range(m - 1):
-        cs = [k * c for k, c in enumerate(cs)][1:]
-    ds = [k * c for k, c in enumerate(cs)][1:]
+        p = derivative(p)
+    dp = derivative(p)
     z = z0
     for _ in range(60):
-        pv = 0j
-        for c in reversed(cs):
-            pv = pv * z + c
-        dv = 0j
-        for c in reversed(ds):
-            dv = dv * z + c
+        dv = dp(z)
         if dv == 0:
             break
-        step = pv / dv
+        step = p(z) / dv
         z -= step
         if abs(step) <= 1e-16 * (1.0 + abs(z)):
             break
@@ -353,8 +351,8 @@ def _recon_error(coeffs, root_multiset):
     return max(abs(x - y) for x, y in zip(prod, coeffs)) / scale
 
 
-def _collapse(coeffs, pts, scale, floor_radius):
-    """Group approximations into multiple roots.
+def _collapse(p, pts, scale, floor_radius):
+    """Group approximations into multiple roots; returns the root list.
 
     A candidate cluster of size m is replaced by m copies of the polished
     centroid exactly when that replacement does not worsen the global
@@ -364,12 +362,12 @@ def _collapse(coeffs, pts, scale, floor_radius):
     re-split at smaller radii.
     """
     best = list(pts)
-    best_err = [_recon_error(coeffs, best)]
+    best_err = [_recon_error(p.coeffs, best)]
 
     def try_merge(indices) -> bool:
         m = len(indices)
         centroid = sum(best[i] for i in indices) / m
-        z = _refine_multiple(coeffs, centroid, m)
+        z = _refine_multiple(p, centroid, m)
         if max(abs(z - best[i]) for i in indices) > 4 * max(
             abs(best[x] - best[y]) for x in indices for y in indices
         ) + floor_radius:
@@ -377,7 +375,7 @@ def _collapse(coeffs, pts, scale, floor_radius):
         trial = list(best)
         for i in indices:
             trial[i] = z
-        err = _recon_error(coeffs, trial)
+        err = _recon_error(p.coeffs, trial)
         if err <= max(1.2 * best_err[0], 1e-12):
             best[:] = trial
             best_err[0] = err
@@ -404,32 +402,10 @@ def _collapse(coeffs, pts, scale, floor_radius):
     start_r = max(0.5 * scale, floor_radius)
     for part in _cluster(list(pts), start_r):
         handle(part, start_r)
-
-    groups: dict[complex, int] = {}
-    order: list[complex] = []
-    for z in best:
-        if z in groups:
-            groups[z] += 1
-        else:
-            groups[z] = 1
-            order.append(z)
-    merged = []
-    for z in order:
-        m = groups[z]
-        if m > 1:
-            merged.append((z, m))
-        else:
-            merged.append((z, 1))
-    return merged
+    return best
 
 
-def roots(
-    p: ComplexPoly,
-    tol: Tolerances = Tolerances(),
-    max_iter: int = 600,
-    restarts: int = 8,
-    seed: int = 0,
-) -> list[complex]:
+def roots(p: ComplexPoly, tol: Tolerances = Tolerances(), seed: int = 0) -> list[complex]:
     """All deg(p) roots with multiplicity, by simultaneous iteration.
 
     The iteration targets a backward error well below tol.root; clusters of
@@ -444,31 +420,25 @@ def roots(
     n = p.degree
     if n < 1:
         raise DegreeTooLow("need degree >= 1 to extract roots")
-    coeffs = [c / p.leading for c in p.coeffs]
-    cauchy = 1.0 + max(abs(c) for c in coeffs[:-1]) if n else 1.0
+    monic = ComplexPoly([c / p.leading for c in p.coeffs])
+    cauchy = 1.0 + max(abs(c) for c in monic.coeffs[:-1])
     inner_tol = min(tol.root, 1e-12)
     rng = np.random.RandomState(seed)
-    zs = None
-    for attempt in range(restarts):
+    for attempt in range(RESTARTS):
         if attempt == 0:
             ang = 2 * np.pi * np.arange(n) / n + 0.4
             init = 0.7 * cauchy * np.exp(1j * ang) + 0.1
         else:
             init = cauchy * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        zs, ok = _aberth_pass(np.array(coeffs), init.astype(complex), inner_tol, max_iter)
+        zs, ok = _aberth_pass(monic, init.astype(complex), inner_tol)
         if ok:
             break
     else:
-        raise NoConvergence(f"root iteration failed after {restarts} restarts")
+        raise NoConvergence(f"root iteration failed after {RESTARTS} restarts")
     scale = 1.0 + max(abs(z) for z in zs)
     floor = max(tol.cluster, 1e-8) * scale if tol.cluster <= 1e-6 else tol.cluster
-    found = _collapse(coeffs, [complex(z) for z in zs], scale, floor)
-    result: list[complex] = []
-    for z, m in found:
-        result.extend([z] * m)
-    if len(result) != n:
-        raise NoConvergence("lost roots during clustering")
-    return sorted(result, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    found = _collapse(monic, [complex(z) for z in zs], scale, floor)
+    return sorted(found, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
 
 
 # ---------------------------------------------------------------------------

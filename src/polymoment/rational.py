@@ -21,13 +21,11 @@ def vec(entries) -> RationalVector:
 
 
 def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    rows = [list(r) for r in rows]
-    if not rows:
+    work = [list(r) for r in rows]
+    if not work:
         return []
-    ncols = len(rows[0])
+    ncols = len(work[0])
     out: list[list[Fraction]] = []
-    lead = 0
-    work = rows
     for col in range(ncols):
         piv = None
         for i, r in enumerate(work):
@@ -43,7 +41,6 @@ def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
             [x - r[col] * y for x, y in zip(r, row)] if r[col] != 0 else r for r in work
         ]
         out.append(row)
-        lead += 1
     # clear above pivots
     for i in range(len(out) - 1, -1, -1):
         pc = next(j for j, x in enumerate(out[i]) if x != 0)
@@ -51,7 +48,6 @@ def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
             f = out[k][pc]
             if f != 0:
                 out[k] = [x - f * y for x, y in zip(out[k], out[i])]
-    out.sort(key=lambda r: next(j for j, x in enumerate(r) if x != 0))
     return out
 
 

@@ -328,7 +328,6 @@ def quadrature_moments(
     a: complex,
     b: complex,
     I: int,
-    nodes: int | None = None,
     with_scales: bool = False,
 ):
     """Moments m_i = integral over [a, b] of P^i Q' dz, i = 0..I.
@@ -340,8 +339,7 @@ def quadrature_moments(
     With with_scales, also returns the L1 bounds used for relative
     smallness tests.
     """
-    if nodes is None:
-        nodes = default_nodes(I * max(P.degree, 0) + max(Q.degree, 0))
+    nodes = default_nodes(I * max(P.degree, 0) + max(Q.degree, 0))
     pt = segment_chebyshev(P, a, b)
     dq = np.polynomial.chebyshev.chebder(segment_chebyshev(Q, a, b))
     moments, scales = _segment_moments(pt, [dq], I, nodes)
@@ -350,18 +348,10 @@ def quadrature_moments(
     return moments
 
 
-def h_series(
-    P: ComplexPoly,
-    Q: ComplexPoly,
-    a: complex,
-    b: complex,
-    I: int,
-    nodes: int | None = None,
-):
+def h_series(P: ComplexPoly, Q: ComplexPoly, a: complex, b: complex, I: int):
     """First I+1 Taylor coefficients of -H(t) at infinity: integrals P^i Q P' dz,
     with Q renormalized to Q(a) = 0."""
-    if nodes is None:
-        nodes = default_nodes((I + 1) * max(P.degree, 0) + max(Q.degree, 0))
+    nodes = default_nodes((I + 1) * max(P.degree, 0) + max(Q.degree, 0))
     pt = segment_chebyshev(P, a, b)
     factors = [segment_chebyshev(Q - Q(a), a, b), np.polynomial.chebyshev.chebder(pt)]
     return _segment_moments(pt, factors, I, nodes)[0]
@@ -400,23 +390,19 @@ class MomentReport:
         }
 
 
-def sample_ray(md: MonodromyData, count: int = 8):
-    """Geometrically spaced points on a ray from the basepoint away from the
-    critical values (staying clear of every arc of the star)."""
+def sample_ray(md: MonodromyData):
+    """Eight geometrically spaced points on a ray from the basepoint away from
+    the critical values (staying clear of every arc of the star)."""
     c = md.base_point
     ctr = sum(md.critical_values) / len(md.critical_values)
     u = (c - ctr) / abs(c - ctr)
     s0 = max(1.0, max(abs(v - c) for v in md.critical_values))
-    return [c + s0 * (2.0**j) * u for j in range(1, count + 1)]
+    return [c + s0 * (2.0**j) * u for j in range(1, 9)]
 
 
 def branch_samples(P: ComplexPoly, md: MonodromyData, points, tol: Tolerances = Tolerances()):
     """Fiber values at the given ray points, branch order as in md.fiber."""
-    path = [md.base_point] + list(points)
-    _, rec = continue_branches(
-        P, path, np.array(md.fiber), tol, record_at=set(range(1, len(path)))
-    )
-    return [rec[i] for i in range(1, len(path))]
+    return continue_branches(P, [md.base_point, *points], np.array(md.fiber), tol)[1:]
 
 
 def verify_vanishing(
@@ -454,20 +440,14 @@ def verify_vanishing(
     pts = sample_ray(md)
     fibers = branch_samples(P, md, pts, tol)
     qvals = [eval_many(Qn, f) for f in fibers]
-    basis_f = [np.array([float(x) for x in row]) for row in M.basis]
-    fvecs_f = [np.array([float(x) for x in fv]) for fv in fvectors]
-    phi_residuals = {}
-    for s, v in enumerate(fvecs_f, start=1):
-        worst = 0.0
-        for qv in qvals:
-            sc = max(1.0, float(np.max(np.abs(qv))))
-            worst = max(worst, abs(np.sum(v * qv)) / sc)
-        phi_residuals[s] = worst
-    rel_res = max(phi_residuals.values(), default=0.0)
-    for v in basis_f:
-        for qv in qvals:
-            sc = max(1.0, float(np.max(np.abs(qv))))
-            rel_res = max(rel_res, abs(np.sum(v * qv)) / sc)
+    scales = [max(1.0, float(np.max(np.abs(qv)))) for qv in qvals]
+
+    def relation(v) -> float:
+        v = np.array([float(x) for x in v])
+        return max(abs(np.sum(v * qv)) / sc for qv, sc in zip(qvals, scales))
+
+    phi_residuals = {s: relation(v) for s, v in enumerate(fvectors, start=1)}
+    rel_res = max([*phi_residuals.values(), *map(relation, M.basis)], default=0.0)
     ok_phi = rel_res <= tol.phi
 
     w = series = None

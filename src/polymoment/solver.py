@@ -240,7 +240,6 @@ def decompose_solution(
     Q: ComplexPoly,
     I: int = 25,
     N: int | None = None,
-    _depth: int = 0,
 ) -> list[ReducibleSummand]:
     """Split a verified solution into reducible summands, constructively.
 
@@ -256,15 +255,15 @@ def decompose_solution(
     if not report.verdict:
         raise NotASolution(f"vanishing checks failed: {report.to_json()}")
     Qn = Q - Q(a)
-    qscale = Qn.coeff_scale()
-    if all(abs(c) <= 1e-12 * qscale for c in Qn.coeffs):
+    if Qn.is_zero():
         return []
+    qscale = Qn.coeff_scale()
     tol_pt = inst.tol_point()
     # the verifier's expansion, against the range-rescaled P: supports and the
     # descended polynomials are identical, the coefficient profile stays tame
     w, series = report.w, report.series
     ref = series.scale()
-    sig = series.support(inst.tol.support, ref_scale=ref)
+    sig = series.support(inst.tol.support)
 
     if all(k % n == 0 for k in sig):
         A1, B1 = right_factor_for(inst, 1)
@@ -314,7 +313,7 @@ def decompose_solution(
         if f < 2:
             raise NotASolution("part through P itself but P(a) != P(b)")
         sub = build_instance(A, B(a), B(b), tol=inst.tol)
-        subs = decompose_solution(sub, R, I=I, _depth=_depth + 1)
+        subs = decompose_solution(sub, R, I=I)
         dropped = R(B(a))
         pulled = []
         for e in subs:

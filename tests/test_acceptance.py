@@ -396,7 +396,7 @@ def test_criterion_10_puiseux_engine(t6_solution):
             ctr = sum(md.critical_values) / len(md.critical_values)
             u_dir = (md.base_point - ctr) / abs(md.base_point - ctr)
             z0 = ctr + (10.0 * scale) ** n * u_dir
-            end = continue_branches(P, [md.base_point, z0], np.array(md.fiber))
+            end = continue_branches(P, [md.base_point, z0], np.array(md.fiber))[-1]
             w = puiseux_inverse(P, max(60, 3 * n))
             eps = np.exp(2j * np.pi / n)
             cands = [

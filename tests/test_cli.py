@@ -114,6 +114,10 @@ def test_malformed_inputs(tmp_path):
         {"seed": "x"},
         {"moments": -1},
         {"tol-moment": "nan"},
+        # int() would run these as 2 moments, 1 moment and seed 1
+        {"moments": 2.9},
+        {"moments": True},
+        {"seed": 1.5},
     ):
         code, _ = run_cli(tmp_path, {**t6_job("verify"), "options": options})
         assert code == 64, options
@@ -137,6 +141,23 @@ def test_malformed_inputs(tmp_path):
             job[field]["coeffs"][-1] = ["@", 0.0]
         code, _ = run_cli(tmp_path, json.dumps(job).replace('"@"', literal))
         assert code == 64, (field, literal)
+
+
+def test_integral_counts_accepted(tmp_path):
+    # an integral JSON number and a digit string from a flag stay counts
+    code, rep = run_cli(tmp_path, {**t6_job("verify"), "options": {"moments": 3.0}})
+    assert code == 0 and rep["options"]["moments"] == 3
+    code, rep = run_cli(tmp_path, t6_job("verify"), extra=("--moments", "3", "--seed", "2"))
+    assert code == 0 and (rep["options"]["moments"], rep["options"]["seed"]) == (3, 2)
+
+
+def test_unwritable_output_reported_as_json(tmp_path, capsys):
+    inp = tmp_path / "job.json"
+    inp.write_text(json.dumps({"command": "generate"}))
+    code = main(["--input", str(inp), "--output", str(tmp_path / "missing" / "out.json")])
+    assert code == 64
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MalformedInput" and "missing" in err["detail"]
 
 
 def test_flag_overrides_command(tmp_path):

@@ -38,7 +38,7 @@ def close_to(values, target, tol=1e-8):
 
 
 def test_critical_data_square():
-    vals, flags = critical_data(ComplexPoly([0, 0, 1]), 1, -1)
+    vals, flags, _ = critical_data(ComplexPoly([0, 0, 1]), 1, -1)
     assert len(vals) == 2
     assert close_to(vals, 0) and close_to(vals, 1)
     by_val = dict(zip([round(v.real) for v in vals], flags))
@@ -47,14 +47,14 @@ def test_critical_data_square():
 
 def test_critical_data_cubic():
     # critical points of z^3 - 3z at z = -1, 1 with values 2, -2
-    vals, flags = critical_data(ComplexPoly([0, -3, 0, 1]), 0, SQ3)
+    vals, flags, _ = critical_data(ComplexPoly([0, -3, 0, 1]), 0, SQ3)
     assert close_to(vals, 2) and close_to(vals, -2) and close_to(vals, 0)
     # P(0) = P(sqrt 3) = 0: a single shared supplement
     assert sum(flags) == 1
 
 
 def test_critical_data_t6_no_supplement():
-    vals, flags = critical_data(T6, -SQ3 / 2, SQ3 / 2)
+    vals, flags, _ = critical_data(T6, -SQ3 / 2, SQ3 / 2)
     assert len(vals) == 2 and not any(flags)
     assert close_to(vals, 1) and close_to(vals, -1)
 
@@ -77,16 +77,32 @@ def test_choose_basepoint_contract():
             assert dmin >= 1.0
 
 
+def test_monodromy_uses_the_critical_data_basepoint():
+    _, _, c = critical_data(T6, -SQ3 / 2, SQ3 / 2)
+    assert monodromy(T6, -SQ3 / 2, SQ3 / 2).base_point == c
+
+
+def test_continue_branches_returns_every_waypoint():
+    sq = ComplexPoly([0, 0, 1])
+    path = [1.0, 4.0, 4.0 + 4.0j, 9.0j]
+    start = [1.0, -1.0]
+    fibers = continue_branches(sq, path, start)
+    assert len(fibers) == len(path)
+    assert np.array_equal(fibers[0], start)
+    for z, w in zip(path, fibers):
+        assert np.allclose(w * w, z, rtol=1e-12)
+
+
 def test_continue_branches_square_loop():
     sq = ComplexPoly([0, 0, 1])
     loop = [np.exp(2j * np.pi * t / 64) for t in range(65)]
-    end = continue_branches(sq, loop, [1.0, -1.0])
+    end = continue_branches(sq, loop, [1.0, -1.0])[-1]
     assert abs(end[0] + 1) < 1e-9 and abs(end[1] - 1) < 1e-9
 
 
 def test_continue_branches_segment():
     sq = ComplexPoly([0, 0, 1])
-    end = continue_branches(sq, [1.0, 4.0], [1.0, -1.0])
+    end = continue_branches(sq, [1.0, 4.0], [1.0, -1.0])[-1]
     assert abs(end[0] - 2) < 1e-9 and abs(end[1] + 2) < 1e-9
 
 
@@ -95,7 +111,7 @@ def test_continue_branches_power_rotation(n):
     zn = ComplexPoly([0] * n + [1])
     start = [np.exp(2j * np.pi * k / n) for k in range(n)]
     loop = [np.exp(2j * np.pi * t / 96) for t in range(97)]
-    end = continue_branches(zn, loop, start)
+    end = continue_branches(zn, loop, start)[-1]
     eps = np.exp(2j * np.pi / n)
     assert max(abs(e - s * eps) for e, s in zip(end, start)) < 1e-9
 
@@ -132,7 +148,7 @@ def test_predictor_rejects_before_corrector(monkeypatch):
         return out
 
     monkeypatch.setattr(mono, "_correct", spy)
-    end = continue_branches(sq, [1.0, 1000.0], [1.0, -1.0])
+    end = continue_branches(sq, [1.0, 1000.0], [1.0, -1.0])[-1]
     assert np.allclose(end, [1000**0.5, -(1000**0.5)], rtol=1e-12)
     assert calls[0][0] == 1.0 + 2.0**-10 * 999.0
     # replay the acceptance rule: every corrector call starts from a
@@ -410,7 +426,7 @@ def test_lasso_matches_round_trip(name):
         return Permutation([old[g(new[i - 1]) - 1] for i in range(1, n + 1)])
 
     round_trip = [
-        _match_permutation(fiber, continue_branches(P, loop + [c], fiber))
+        _match_permutation(fiber, continue_branches(P, loop + [c], fiber)[-1])
         for loop in _lassos(c, md.critical_values, n)
     ]
     assert [raw(g).images for g in md.generators] == [g.images for g in round_trip[:-1]]
