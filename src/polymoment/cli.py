@@ -276,6 +276,16 @@ def run_job(job: dict, args) -> tuple[dict, int]:
     return report, code
 
 
+def _check_output(path: str):
+    """Reject an --output file that cannot be written before any job runs.
+    The file is not opened here, so an existing report survives a failed job."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        raise MalformedInput(f"--output {path}: directory missing or not writable")
+    if os.path.exists(path) and (os.path.isdir(path) or not os.access(path, os.W_OK)):
+        raise MalformedInput(f"--output {path}: not a writable file")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -289,6 +299,8 @@ def main(argv=None) -> int:
         job = json.loads(text) if text.strip() else {}
         if not isinstance(job, dict):
             raise MalformedInput("job must be a JSON object")
+        if args.output:
+            _check_output(args.output)
     except (MalformedInput, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "MalformedInput", "detail": str(exc)}), file=sys.stderr)
         return 64

@@ -370,32 +370,11 @@ def _lassos(c: complex, values, n: int):
     return loops
 
 
-def monodromy(
-    P: ComplexPoly,
-    a: complex,
-    b: complex,
-    tol: Tolerances = Tolerances(),
-    seed: int = 0,
-) -> MonodromyData:
-    """Loop permutations around every (supplemented) critical value of P.
-
-    The product relation g_1 ... g_k g_inf = id and the n-cycle shape of
-    g_inf are verified on the computed permutations; failure of either means
-    the tracking tolerances were too coarse for this input and raises
-    RelationViolation.  Branches are relabeled so g_inf = (1 2 ... n);
-    branch 1 is the first root of the basepoint fiber, an arbitrary but
-    deterministic choice.
-    """
-    n = P.degree
-    values, flags, c = critical_data(P, a, b, tol)
-    fiber = polish_fiber(P, c, roots(P - c, tol, seed=seed))
-
-    perms = []
-    for loop in _lassos(c, values, n):
-        fibers = continue_branches(P, loop, fiber, tol)
-        perms.append(_match_permutation(fibers[1], fibers[-1]))
-    gens, g_inf = perms[:-1], perms[-1]
-
+def check_relations(gens, g_inf: Permutation, n: int):
+    """The laws every monodromy of a degree-n polynomial obeys, whether
+    tracked or induced on the blocks of a right factor: the product relation
+    g_1 ... g_k g_inf = id, g_inf an n-cycle, and the Riemann-Hurwitz count
+    sum over s of (n - #cycles of g_s) = n - 1.  Raises RelationViolation."""
     prod = identity(n)
     for g in gens:
         prod = prod * g
@@ -408,6 +387,32 @@ def monodromy(
         raise RelationViolation(
             f"branching deficiency {deficiency} != {n - 1}; critical values miscounted"
         )
+
+
+def monodromy(
+    P: ComplexPoly,
+    a: complex,
+    b: complex,
+    tol: Tolerances = Tolerances(),
+    seed: int = 0,
+) -> MonodromyData:
+    """Loop permutations around every (supplemented) critical value of P.
+
+    The computed permutations pass `check_relations`; a failure means the
+    tracking tolerances were too coarse for this input.  Branches are
+    relabeled so g_inf = (1 2 ... n); branch 1 is the first root of the
+    basepoint fiber, an arbitrary but deterministic choice.
+    """
+    n = P.degree
+    values, flags, c = critical_data(P, a, b, tol)
+    fiber = polish_fiber(P, c, roots(P - c, tol, seed=seed))
+
+    perms = []
+    for loop in _lassos(c, values, n):
+        fibers = continue_branches(P, loop, fiber, tol)
+        perms.append(_match_permutation(fibers[1], fibers[-1]))
+    gens, g_inf = perms[:-1], perms[-1]
+    check_relations(gens, g_inf, n)
 
     # relabel so that g_inf becomes (1 2 ... n), branch 1 = first fiber root:
     # new label l carries old branch g_inf^(l-1)(1), and r conjugates
@@ -556,57 +561,52 @@ def cactus_from_generators(
     return cac
 
 
+def endpoint_colors(md: MonodromyData, Pa: complex, Pb: complex, tol: Tolerances):
+    """The colors s_a, s_b of the endpoint values P(a), P(b), and whether the
+    two values coincide.  Raises VertexMismatch for a value that is no color."""
+    radius = tol.cluster * (1.0 + max(abs(v) for v in md.critical_values)) * 10
+    colors = []
+    for w in (Pa, Pb):
+        ds = np.abs(np.array(md.critical_values) - w)
+        if ds.min() > radius:
+            raise VertexMismatch(f"value {w:.6g} is not a vertex color")
+        colors.append(int(np.argmin(ds)) + 1)
+    return *colors, abs(Pa - Pb) <= radius
+
+
+def cactus_from_vertices(md: MonodromyData, s_a: int, Va, s_b: int, Vb, same_value: bool) -> Cactus:
+    """The tree with a, b on the color-s_a vertex with branch set Va and the
+    color-s_b vertex with branch set Vb.  Each set must be a cycle of its
+    color's permutation, the two vertices must differ (else DegeneratePath),
+    and the sets must be circularly separated: disjointed when P(a) = P(b),
+    at worst almost otherwise."""
+    for s, V, label in ((s_a, Va, "a"), (s_b, Vb, "b")):
+        if V not in {frozenset(cyc) for cyc in md.generators[s - 1].cycles()}:
+            raise VertexMismatch(f"V({label}) = {sorted(V)} is not a cycle of color {s}")
+    if s_a == s_b and Va == Vb:
+        raise DegeneratePath("a and b landed on the same vertex")
+
+    sep = circular_separation(Va, Vb, md.n)
+    if same_value and sep != "disjointed":
+        raise VertexMismatch(f"V(a), V(b) must be disjointed, got {sep}")
+    if not same_value and sep == "entangled":
+        raise VertexMismatch("V(a), V(b) are entangled on the circle")
+    return cactus_from_generators(md.n, md.generators, (s_a, min(Va)), (s_b, min(Vb)))
+
+
 def build_cactus(
     md: MonodromyData, P: ComplexPoly, a: complex, b: complex, tol: Tolerances = Tolerances()
 ) -> Cactus:
     """Locate a and b on the tree and assemble it.
 
     V(a) is found by continuing the fiber along the arc toward P(a)'s vertex
-    color and picking the branches that converge to a; the count must equal
-    the multiplicity of a and the set must be a single cycle of the color's
-    permutation.  The circular-separation law for V(a), V(b) is checked on
-    every build.
+    color and picking the branches that converge to a; their count is the
+    multiplicity of a.  `cactus_from_vertices` checks the sets on every build.
     """
-    radius = tol.cluster * (1.0 + max(abs(v) for v in md.critical_values))
-
-    def color_of(w: complex) -> int:
-        ds = [abs(w - v) for v in md.critical_values]
-        s = int(np.argmin(ds)) + 1
-        if ds[s - 1] > radius * 10:
-            raise VertexMismatch(f"value {w:.6g} is not a vertex color")
-        return s
-
-    s_a, s_b = color_of(P(a)), color_of(P(b))
-    d_a, d_b = multiplicity_at(P, a), multiplicity_at(P, b)
-    Va = _locate_branches(P, md, a, s_a, d_a, tol)
-    Vb = _locate_branches(P, md, b, s_b, d_b, tol)
-
-    def cycle_check(s: int, branches: frozenset[int], label: str):
-        for cyc in md.generators[s - 1].cycles():
-            if frozenset(cyc) == branches:
-                return
-        raise VertexMismatch(
-            f"V({label}) = {sorted(branches)} is not a cycle of color {s}"
-        )
-
-    cycle_check(s_a, Va, "a")
-    cycle_check(s_b, Vb, "b")
-    if s_a == s_b and Va == Vb:
-        raise DegeneratePath("a and b landed on the same vertex")
-
-    sep = circular_separation(Va, Vb, md.n)
-    same_value = abs(P(a) - P(b)) <= radius * 10
-    if same_value and sep != "disjointed":
-        raise VertexMismatch(f"V(a), V(b) must be disjointed, got {sep}")
-    if not same_value and sep == "entangled":
-        raise VertexMismatch("V(a), V(b) are entangled on the circle")
-
-    return cactus_from_generators(
-        md.n,
-        md.generators,
-        (s_a, min(Va)),
-        (s_b, min(Vb)),
-    )
+    s_a, s_b, same_value = endpoint_colors(md, P(a), P(b), tol)
+    Va = _locate_branches(P, md, a, s_a, multiplicity_at(P, a), tol)
+    Vb = _locate_branches(P, md, b, s_b, multiplicity_at(P, b), tol)
+    return cactus_from_vertices(md, s_a, Va, s_b, Vb, same_value)
 
 
 def tree_path(cactus: Cactus):

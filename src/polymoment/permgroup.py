@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidDivisor, NotClosed, NotFullCycle, NotTransitive
+from .errors import BlockMismatch, InvalidDivisor, NotClosed, NotFullCycle, NotTransitive
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,15 @@ def from_cycles(n: int, cycles) -> Permutation:
 
 def perm_to_json(g: Permutation) -> list[int]:
     return list(g.images)
+
+
+def act_on_classes(g: Permutation, d: int) -> Permutation:
+    """The permutation g induces on the residue classes mod d (class j holds
+    the i = j mod d); BlockMismatch when g splits a class."""
+    pairs = {((i - 1) % d, (g(i) - 1) % d + 1) for i in range(1, g.n + 1)}
+    if len(pairs) != d:
+        raise BlockMismatch(f"{g!r} splits a residue class mod {d}")
+    return Permutation([t for _, t in sorted(pairs)])
 
 
 def divisors_of(n: int) -> list[int]:

@@ -38,6 +38,7 @@ import numpy as np
 from .errors import (
     DegreeTooLow,
     InvalidDivisor,
+    MalformedInput,
     NoConvergence,
     RecoveryFailure,
     TruncationTooShort,
@@ -49,6 +50,9 @@ from .rational import RationalSubspace
 
 # the benchmark (perfbench/run.py) reads these two as the applied defaults
 TOL_MOMENT, TOL_PHI = Tolerances.moment, Tolerances.phi
+# the rule's eigen-solve holds a dense count x count matrix: 4096 nodes take
+# 128 MiB, so a rule needing more (I n + deg Q above 8192) is refused
+MAX_GAUSS_NODES = 4096
 
 
 def default_truncation(n: int, deg_q: int) -> int:
@@ -307,6 +311,10 @@ def _segment_moments(pt: np.ndarray, factors, I: int, nodes: int):
     """Sums of w_k P~(x_k)^i f(x_k) over the Gauss rule, i = 0..I, and their L1
     bounds, where P~ has Chebyshev coefficients pt and f is the product of
     the Chebyshev series in factors: the one quadrature loop on the segment."""
+    if nodes > MAX_GAUSS_NODES:
+        raise MalformedInput(
+            f"the moments need a {nodes}-node Gauss rule, above {MAX_GAUSS_NODES}: lower I"
+        )
     # np.polynomial loads on first use, so runs that never integrate skip it
     chebval = np.polynomial.chebyshev.chebval
     x, wt = _gauss_rule(nodes)

@@ -16,8 +16,10 @@ decomposed constructively: split its expansion at infinity along index
 classes (n/f)Z for admissible f in decreasing order, descend each part to a
 polynomial S_f = R_f(B_f), and either emit (S_f, B_f) directly when
 B_f(a) = B_f(b) or recurse on the outer polynomial A_f with endpoints
-B_f(a), B_f(b), pulling the returned factorizations back through B_f.  The
-recursion strictly decreases the degree, so it terminates.
+B_f(a), B_f(b) and pull the returned factorizations back through B_f.  The
+sub-instance reads A_f's monodromy off P's, tracking nothing: B_f is constant
+on the residue classes mod f, which P's loop permutations permute as A_f's.
+The recursion strictly decreases the degree, so it terminates.
 """
 
 from __future__ import annotations
@@ -34,9 +36,13 @@ from .errors import (
     NotASolution,
     ResidualNonzero,
 )
-from .monodromy import Cactus, MonodromyData, build_cactus, f_vectors, monodromy, tree_path
+from .monodromy import (
+    Cactus, MonodromyData, build_cactus, cactus_from_vertices, check_relations,
+    endpoint_colors, f_vectors, monodromy, tree_path,
+)
 from .permgroup import (
     DivisorLattice,
+    act_on_classes,
     circulant_from_row,
     cyclic_convolve,
     divisor_lattice,
@@ -122,9 +128,15 @@ def _check_summand(s: ReducibleSummand, P: ComplexPoly, tol: float):
 def build_instance(
     P: ComplexPoly, a: complex, b: complex, seed: int = 0, tol: Tolerances = Tolerances()
 ) -> ProblemInstance:
-    """Monodromy, tree, sign vectors, divisor lattice, divisor set, subspace."""
+    """Monodromy and tree by tracking; the rest is `instance_from_tree`."""
     md = monodromy(P, a, b, tol, seed=seed)
-    cactus = build_cactus(md, P, a, b, tol)
+    return instance_from_tree(P, a, b, md, build_cactus(md, P, a, b, tol), tol)
+
+
+def instance_from_tree(
+    P: ComplexPoly, a: complex, b: complex, md: MonodromyData, cactus: Cactus, tol: Tolerances
+) -> ProblemInstance:
+    """Path, sign vectors, divisor lattice, divisor set and subspace."""
     path = tree_path(cactus)
     fv = f_vectors(cactus, path)
     n = P.degree
@@ -143,6 +155,35 @@ def build_instance(
         P=P, a=a, b=b, md=md, cactus=cactus, path=path, fv=fv, D=D, S=S,
         M=span(circulant_from_row(rho), n), tol=tol,
     )
+
+
+def quotient_instance(A: ComplexPoly, B: ComplexPoly, inst: ProblemInstance) -> ProblemInstance:
+    """The instance of A on B(a), B(b), for inst.P = A(B(z)), read off inst.
+
+    B is constant on the residue classes of branch indices mod f = deg A, so
+    class j is branch j of A, at B(fiber[j - 1]): P's loop permutations act
+    on the classes as A's do, for the same basepoint and loops.  Colors that
+    act trivially are dropped, except those of P(a) and P(b), which stay as
+    supplemented values; V(a), V(b) are the classes of P's.  The induced data
+    pass the same checks as tracked data.
+    """
+    md, cac, f = inst.md, inst.cactus, A.degree
+    induced = [act_on_classes(g, f) for g in md.generators]
+    ends = (cac.vertex_a.color, cac.vertex_b.color)
+    keep = [s for s, g in enumerate(induced, start=1) if s in ends or not g.is_identity()]
+    gens, g_inf = tuple(induced[s - 1] for s in keep), act_on_classes(md.g_inf, f)
+    check_relations(gens, g_inf, f)
+    sub = MonodromyData(
+        n=f, base_point=md.base_point, generators=gens, g_inf=g_inf,
+        critical_values=tuple(md.critical_values[s - 1] for s in keep),
+        supplemented=tuple(g.is_identity() for g in gens),
+        fiber=tuple(complex(B(w)) for w in md.fiber[:f]),
+    )
+    a, b = B(inst.a), B(inst.b)
+    s_a, s_b, same_value = endpoint_colors(sub, A(a), A(b), inst.tol)
+    Va, Vb = (frozenset((i - 1) % f + 1 for i in V) for V in (cac.V_a, cac.V_b))
+    cactus = cactus_from_vertices(sub, s_a, Va, s_b, Vb, same_value)
+    return instance_from_tree(A, a, b, sub, cactus, inst.tol)
 
 
 def right_factor_for(inst: ProblemInstance, d: int):
@@ -312,7 +353,7 @@ def decompose_solution(
             continue
         if f < 2:
             raise NotASolution("part through P itself but P(a) != P(b)")
-        sub = build_instance(A, B(a), B(b), tol=inst.tol)
+        sub = quotient_instance(A, B, inst)
         subs = decompose_solution(sub, R, I=I)
         dropped = R(B(a))
         pulled = []

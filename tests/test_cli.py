@@ -7,10 +7,11 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polymoment
-from polymoment import monodromy, series, solver
+from polymoment import cli, monodromy, series, solver
 from polymoment.cli import main
 from polymoment.poly import Tolerances, chebyshev, poly_to_json
 
@@ -160,6 +161,34 @@ def test_unwritable_output_reported_as_json(tmp_path, capsys):
     assert err["error"] == "MalformedInput" and "missing" in err["detail"]
 
 
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_unwritable_output_rejected_before_job(tmp_path, monkeypatch, target):
+    # a selftest with a bad --output used to run every instance, then exit 64
+    ran = []
+    monkeypatch.setitem(cli._COMMANDS, "selftest", lambda *args: ran.append(args) or ({}, 0))
+    inp = tmp_path / "job.json"
+    inp.write_text(json.dumps({"command": "selftest"}))
+    code = main(["--input", str(inp), "--output", str(tmp_path / target)])
+    assert code == 64 and ran == []
+
+
+def test_moments_above_node_bound_malformed(tmp_path, monkeypatch):
+    # 3000 moments of T_6 need a 9002-node Gauss rule, above the bound
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", pytest.fail)
+    series._gauss_rule.cache_clear()
+    code, _ = run_cli(tmp_path, t6_job("verify"), extra=("--moments", "3000"))
+    assert code == 64
+
+
+def test_existing_output_survives_failed_job(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"previous report\n")
+    inp = tmp_path / "job.json"
+    inp.write_text(json.dumps({**t6_job("verify"), "options": {"moments": -1}}))
+    assert main(["--input", str(inp), "--output", str(out)]) == 64
+    assert out.read_bytes() == b"previous report\n"
+
+
 def test_flag_overrides_command(tmp_path):
     job = t6_job("verify")
     code, rep = run_cli(tmp_path, job, extra=("--command", "analyze"))
@@ -268,7 +297,7 @@ DECOMP = [
 ]
 VIEWS = [(solver, "verify_vanishing", _in_tol, {"verify"})]
 INSTANCE = [
-    (solver, "build_instance", _in_tol, {"decompose_solution"}),
+    (solver, "quotient_instance", _in_inst, {"decompose_solution"}),
     (solver.ProblemInstance, "tol_point", _in_self, {"decompose_solution"}),
     (solver, "right_factor_for", _in_inst, {"decompose_solution"}),
 ]

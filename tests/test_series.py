@@ -10,6 +10,7 @@ from polymoment import series
 from polymoment.errors import (
     DegenerateInput,
     InvalidDivisor,
+    MalformedInput,
     NotNormalizable,
     RecoveryFailure,
     TruncationTooShort,
@@ -273,6 +274,19 @@ def test_quadrature_exact_rule_matches_fraction_moments(monkeypatch, P, Q, I):
     assert len(counts) == 1
     x, wt = series._gauss_rule(counts[0])
     assert not x.flags.writeable and not wt.flags.writeable
+
+
+def test_gauss_rule_above_node_bound_refused(monkeypatch):
+    # moments: 2000 on T_24 asks for a 24001-node rule, whose eigen-solve
+    # would hold a dense matrix of several GB; it is refused before any
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", pytest.fail)
+    series._gauss_rule.cache_clear()
+    P, Q = chebyshev(24), chebyshev(2)
+    with pytest.raises(MalformedInput, match="24001-node"):
+        quadrature_moments(P, Q, -SQ3 / 2, SQ3 / 2, 2000)
+    # the H coefficients integrate through the same loop and the same bound
+    with pytest.raises(MalformedInput, match=f"above {series.MAX_GAUSS_NODES}"):
+        h_series(P, Q, -SQ3 / 2, SQ3 / 2, 2000)
 
 
 @pytest.mark.parametrize("n", [24, 36, 48])

@@ -1,20 +1,32 @@
+import cmath
+import dataclasses
+import functools
 import hashlib
 import json
 import math
 
 import pytest
 
+from polymoment import monodromy as monodromy_module
 from polymoment import solver
 from polymoment.errors import BlockMismatch, InvalidDivisor, NotASolution
 from polymoment.monodromy import cactus_from_generators, f_vectors, tree_path
 from polymoment.permgroup import circulant_from_row, from_cycles, minimal_projector_rows
 from polymoment.poly import ComplexPoly, affine_equivalent, chebyshev, compose
-from polymoment.rational import apply_permutation, contains, span, vec, vector_to_json
+from polymoment.rational import (
+    apply_permutation,
+    contains,
+    invariant_closure,
+    span,
+    vec,
+    vector_to_json,
+)
 from polymoment.solver import (
     build_instance,
     decompose_solution,
     double_decompositions,
     exists_nonzero_solution,
+    quotient_instance,
     random_reducible_problem,
     reducible_generators,
     right_factor_for,
@@ -229,9 +241,9 @@ def test_decompose_solution_builds_sub_instance(monkeypatch):
 
     def spy(*args, **kwargs):
         built.append(args)
-        return build_instance(*args, **kwargs)
+        return quotient_instance(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "build_instance", spy)
+    monkeypatch.setattr(solver, "quotient_instance", spy)
     Q = chebyshev(4)
     summands = decompose_solution(inst, Q)
     assert built and all(args[0].degree == 4 for args in built)
@@ -318,3 +330,94 @@ def test_full_dihedral_lattice_degree_24():
         total = total + s.Q
     diff = total - Qn
     assert max(abs(c) for c in diff.coeffs) <= 1e-8 * Qn.coeff_scale()
+
+
+# P = T_n or z^n with a solution Q = T_q or z^q, q | n, and endpoints
+# a = cos(theta), b = cos(theta + 2 pi / q) (resp. e^(i theta), ...): Q
+# identifies a and b, while the first factor the split extracts does not,
+# so decompose_solution recurses through a sub-instance
+RECURSIVE = ["T8q4", "z8q4", "T12q6", "T16q8", "z12q6", "z24q12"]
+
+
+@functools.lru_cache(maxsize=None)
+def _recursive_case(name):
+    fam, n, q = name[0], *map(int, name[1:].split("q"))
+    ta, tb = 0.5, 0.5 + 2 * math.pi / q
+    if fam == "T":
+        return build_instance(chebyshev(n), math.cos(ta), math.cos(tb)), chebyshev(q)
+    power = ComplexPoly([0] * n + [1])
+    return build_instance(power, cmath.exp(1j * ta), cmath.exp(1j * tb)), ComplexPoly([0] * q + [1])
+
+
+def _missing_factors(inst):
+    """(f, A, B) for every proper divisor f whose factor B separates a, b."""
+    out = []
+    for f in inst.D.divisors[1:-1]:
+        A, B = right_factor_for(inst, f)
+        if abs(B(inst.a) - B(inst.b)) > inst.tol_point():
+            out.append((f, A, B))
+    return out
+
+
+@pytest.mark.parametrize("name", RECURSIVE)
+def test_quotient_matches_rebuild(name):
+    # oracle: tracking A afresh on B(a), B(b) gives the same lattice, divisor
+    # set, subspace and tree endpoints as reading A's monodromy off P's
+    inst, _ = _recursive_case(name)
+    cases = _missing_factors(inst)
+    assert cases
+    for f, A, B in cases:
+        sub = quotient_instance(A, B, inst)
+        ref = build_instance(A, B(inst.a), B(inst.b), tol=inst.tol)
+        assert sub.n == f
+        assert sub.D.divisors == ref.D.divisors
+        assert sub.S == ref.S
+        assert sub.M.basis == ref.M.basis
+        assert (sub.cactus.d_a, sub.cactus.d_b) == (ref.cactus.d_a, ref.cactus.d_b)
+        assert sub.md.supplemented.count(False) == ref.md.supplemented.count(False)
+        closure = invariant_closure([vec(v) for v in sub.fv], sub.all_generators(), f)
+        assert sub.M == closure
+
+
+def test_quotient_rejects_generator_splitting_a_block():
+    inst, _ = _recursive_case("T8q4")
+    (f, A, B), = _missing_factors(inst)
+    # (1 2) sends 1 to class 2 but fixes 1 + f, in class 1
+    gens = (from_cycles(8, [(1, 2)]),) + inst.md.generators[1:]
+    bad = dataclasses.replace(inst, md=dataclasses.replace(inst.md, generators=gens))
+    with pytest.raises(BlockMismatch):
+        quotient_instance(A, B, bad)
+
+
+@pytest.mark.parametrize("name", RECURSIVE + ["T18q9", "z16q8", "z20q5"])
+def test_quotient_summands_match_rebuild(name, monkeypatch):
+    # reference: the sub-instance built by tracking A again, as the solver
+    # did before it read A's monodromy off P's
+    inst, Q = _recursive_case(name)
+    got = decompose_solution(inst, Q)
+    monkeypatch.setattr(
+        solver,
+        "quotient_instance",
+        lambda A, B, parent: build_instance(A, B(parent.a), B(parent.b), tol=parent.tol),
+    )
+    want = decompose_solution(inst, Q)
+    assert [s.W.degree for s in got] == [s.W.degree for s in want]
+    for s, r in zip(got, want):
+        for x, y in ((s.Q, r.Q), (s.W, r.W), (s.A_tilde, r.A_tilde), (s.Q_tilde, r.Q_tilde)):
+            assert x.degree == y.degree
+            scale = max(1.0, y.coeff_scale())
+            assert max(abs(u - v) for u, v in zip(x.coeffs, y.coeffs)) <= 1e-13 * scale
+
+
+def test_sub_instance_tracks_nothing(monkeypatch):
+    inst, Q = _recursive_case("T8q4")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sub-instance tracked its monodromy or endpoints")
+
+    monkeypatch.setattr(solver, "monodromy", forbidden)
+    for name in ("monodromy", "_locate_branches", "multiplicity_at"):
+        monkeypatch.setattr(monodromy_module, name, forbidden)
+    (f, A, B), = _missing_factors(inst)
+    assert quotient_instance(A, B, inst).n == f
+    assert decompose_solution(inst, Q)
