@@ -25,11 +25,16 @@ view is exact: the twist vector of index k lies in the single piece U_d
 that holds frequency k, so it is orthogonal to the subspace iff that d is
 not in the subspace's divisor set.  The report keeps the expansion of view
 (iii), so the decomposition of a verified solution does not recompute it.
+
+What the views need of the instance alone, whatever Q, is computed once per
+instance and kept (`VerifierData`).  The inverse branch w is kept per
+truncation N, its only key, since the instance's tolerances are frozen.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -44,7 +49,7 @@ from .errors import (
     TruncationTooShort,
 )
 from .monodromy import Cactus, MonodromyData, continue_branches
-from .permgroup import DivisorLattice, piece_of
+from .permgroup import piece_of
 from .poly import ComplexPoly, Tolerances, eval_many, segment_chebyshev
 from .rational import RationalSubspace
 
@@ -53,6 +58,9 @@ TOL_MOMENT, TOL_PHI = Tolerances.moment, Tolerances.phi
 # the rule's eigen-solve holds a dense count x count matrix: 4096 nodes take
 # 128 MiB, so a rule needing more (I n + deg Q above 8192) is refused
 MAX_GAUSS_NODES = 4096
+# the series inversion takes time n N^2 (5.9 s at n = 24, N = 6400), so a
+# longer truncation is refused
+MAX_TRUNCATION = 2 * MAX_GAUSS_NODES
 
 
 def default_truncation(n: int, deg_q: int) -> int:
@@ -108,11 +116,8 @@ class PuiseuxSeries:
     def support(self, tol: float = Tolerances.support, ref_scale: float | None = None) -> list[int]:
         """Indices with |s_k| above tol * max|s_k| (or a supplied scale)."""
         cut = tol * (ref_scale if ref_scale is not None else self.scale())
-        return [
-            self.kmin + j
-            for j, v in enumerate(self.vals)
-            if self.kmin + j <= self.trunc and abs(v) > cut
-        ]
+        upto = max(0, min(len(self.vals), self.trunc - self.kmin + 1))
+        return (np.flatnonzero(_modulus(self.vals[:upto]) > cut) + self.kmin).tolist()
 
     def eval(self, u: complex) -> complex:
         """Partial sum at u = z^(1/n) (branch 1)."""
@@ -128,6 +133,12 @@ class PuiseuxSeries:
         """Partial sum of branch i: index k twisted by eps^((i-1)k)."""
         eps = np.exp(2j * np.pi / self.n)
         return self.eval(u * eps ** (-(i - 1)))
+
+
+def _modulus(x: np.ndarray) -> np.ndarray:
+    """|x| per entry, rounded as Python's abs of each entry is; np.abs of a
+    complex array can differ from that in the last bit."""
+    return np.hypot(x.real, x.imag)
 
 
 def _ps_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -182,6 +193,8 @@ def puiseux_inverse(P: ComplexPoly, N: int) -> PuiseuxSeries:
         raise DegreeTooLow("inverse expansion needs deg P >= 2")
     if N < n:
         raise TruncationTooShort(f"N = {N} < n = {n}")
+    if N > MAX_TRUNCATION:
+        raise MalformedInput(f"truncation N = {N} is above {MAX_TRUNCATION}")
     coeffs = list(P.coeffs)
     m = N + 2
     lead = coeffs[-1]
@@ -347,13 +360,18 @@ def quadrature_moments(
     With with_scales, also returns the L1 bounds used for relative
     smallness tests.
     """
-    nodes = default_nodes(I * max(P.degree, 0) + max(Q.degree, 0))
-    pt = segment_chebyshev(P, a, b)
-    dq = np.polynomial.chebyshev.chebder(segment_chebyshev(Q, a, b))
-    moments, scales = _segment_moments(pt, [dq], I, nodes)
+    moments, scales = segment_moments(segment_chebyshev(P, a, b), Q, a, b, I)
     if with_scales:
         return moments, scales
     return moments
+
+
+def segment_moments(pt: np.ndarray, Q: ComplexPoly, a: complex, b: complex, I: int):
+    """The moments of `quadrature_moments` and their L1 bounds, for the P
+    whose Chebyshev coefficients on the segment are pt."""
+    nodes = default_nodes(I * (len(pt) - 1) + max(Q.degree, 0))
+    dq = np.polynomial.chebyshev.chebder(segment_chebyshev(Q, a, b))
+    return _segment_moments(pt, [dq], I, nodes)
 
 
 def h_series(P: ComplexPoly, Q: ComplexPoly, a: complex, b: complex, I: int):
@@ -413,16 +431,37 @@ def branch_samples(P: ComplexPoly, md: MonodromyData, points, tol: Tolerances = 
     return continue_branches(P, [md.base_point, *points], np.array(md.fiber), tol)[1:]
 
 
+class VerifierData:
+    """What `verify_vanishing` reads of an instance: P, a, b, D and S, the
+    fibers at the sample ray (one row per point), the sign vectors and the
+    basis of M as float rows, P's Chebyshev coefficients on the segment, and
+    per truncation N, in a small LRU, the inverse branch w of the
+    range-rescaled P.  Every array is read-only."""
+
+    def __init__(self, P, a, b, md: MonodromyData, fvectors, M: RationalSubspace, D, S, tol):
+        self.P, self.a, self.b, self.D, self.S = P, a, b, D, S
+        self.fibers = np.array(branch_samples(P, md, sample_ray(md), tol))
+        self.fv, self.basis = (
+            np.array([[float(x) for x in v] for v in vs]).reshape(-1, P.degree)
+            for vs in (fvectors, M.basis)
+        )
+        self.pt = segment_chebyshev(P, a, b)
+        for x in (self.fibers, self.fv, self.basis, self.pt):
+            x.flags.writeable = False
+        rescaled = range_rescaled(P, md)
+
+        @functools.lru_cache(maxsize=8)
+        def inverse(N: int) -> PuiseuxSeries:
+            w = puiseux_inverse(rescaled, N)
+            w.vals.flags.writeable = False
+            return w
+
+        self.inverse = inverse
+
+
 def verify_vanishing(
-    P: ComplexPoly,
+    data: VerifierData,
     Q: ComplexPoly,
-    a: complex,
-    b: complex,
-    fvectors,
-    M: RationalSubspace,
-    md: MonodromyData,
-    D: DivisorLattice,
-    S: frozenset[int],
     I: int = 25,
     N: int | None = None,
     tol: Tolerances = Tolerances(),
@@ -437,36 +476,38 @@ def verify_vanishing(
     View (iii) is exact: index k violates it iff the piece holding frequency
     k (`permgroup.piece_of`) is in S.  The verdict is the conjunction.
     """
-    n = P.degree
+    if isinstance(I, bool) or not isinstance(I, numbers.Integral) or I < 0:
+        raise MalformedInput(f"the moment count I must be an integer >= 0, got {I!r}")
+    if N is not None and (isinstance(N, bool) or not isinstance(N, numbers.Integral)):
+        raise MalformedInput(f"the truncation N must be an integer, got {N!r}")
+    n, a = data.P.degree, data.a
     Qn = Q - Q(a)
-    moments, scales = quadrature_moments(P, Qn, a, b, I, with_scales=True)
+    moments, scales = segment_moments(data.pt, Qn, a, data.b, I)
     m_res = max(
         abs(m) / (s + 1.0) for m, s in zip(moments, scales)
     )
     ok_moments = m_res <= tol.moment
 
-    pts = sample_ray(md)
-    fibers = branch_samples(P, md, pts, tol)
-    qvals = [eval_many(Qn, f) for f in fibers]
+    qvals = [eval_many(Qn, f) for f in data.fibers]
     scales = [max(1.0, float(np.max(np.abs(qv)))) for qv in qvals]
 
-    def relation(v) -> float:
-        v = np.array([float(x) for x in v])
-        return max(abs(np.sum(v * qv)) / sc for qv, sc in zip(qvals, scales))
+    def relations(V: np.ndarray) -> list:
+        """Per row v of V, the largest |sum_i v_i Q(w_i)| / scale over the ray,
+        as numpy scalars: a NotASolution message prints them."""
+        rows = [_modulus((V * qv).sum(axis=1)) / sc for qv, sc in zip(qvals, scales)]
+        return list(np.max(rows, axis=0))
 
-    phi_residuals = {s: relation(v) for s, v in enumerate(fvectors, start=1)}
-    rel_res = max([*phi_residuals.values(), *map(relation, M.basis)], default=0.0)
+    phi_residuals = dict(enumerate(relations(data.fv), start=1))
+    rel_res = max([*phi_residuals.values(), *relations(data.basis)], default=0.0)
     ok_phi = rel_res <= tol.phi
 
     w = series = None
     support: list[int] = []
     if not Qn.is_zero():
-        if N is None:
-            N = default_truncation(n, Qn.degree)
-        w = puiseux_inverse(range_rescaled(P, md), N)
+        w = data.inverse(default_truncation(n, Qn.degree) if N is None else N)
         series = q_of_inverse(Qn, w)
         support = series.support(tol.support)
-    violations = [k for k in support if piece_of(D, k) in S]
+    violations = [k for k in support if piece_of(data.D, k) in data.S]
     ok_puiseux = not violations
 
     return MomentReport(

@@ -20,11 +20,17 @@ B_f(a), B_f(b) and pull the returned factorizations back through B_f.  The
 sub-instance reads A_f's monodromy off P's, tracking nothing: B_f is constant
 on the residue classes mod f, which P's loop permutations permute as A_f's.
 The recursion strictly decreases the degree, so it terminates.
+
+An instance keeps what its queries share, each computed on first use: the
+verifier's Q-independent half (`series.VerifierData`, keyed by N where it
+depends on it), the right factor (A, B) of each divisor d, and the
+sub-instance of each divisor f that the decomposition recurses into.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +56,7 @@ from .permgroup import (
 )
 from .poly import ComplexPoly, Tolerances, compose, decompose_outer, decompose_right, roots
 from .rational import RationalSubspace, span
-from .series import MomentReport, extract_psi, recover_polynomial, verify_vanishing
+from .series import MomentReport, VerifierData, extract_psi, recover_polynomial, verify_vanishing
 
 TOL_SUM = 1e-8
 
@@ -71,6 +77,10 @@ class ProblemInstance:
     S: frozenset[int]
     M: RationalSubspace
     tol: Tolerances
+    # per divisor, filled on first use: right_factor_for's (A, B), and the
+    # sub-instance that decompose_solution recurses into
+    factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    subs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -86,11 +96,13 @@ class ProblemInstance:
     def all_generators(self):
         return list(self.md.generators) + [self.md.g_inf]
 
+    @functools.cached_property
+    def verifier(self) -> VerifierData:
+        """The Q-independent half of `verify`, computed on first use."""
+        return VerifierData(self.P, self.a, self.b, self.md, self.fv, self.M, self.D, self.S, self.tol)
+
     def verify(self, Q: ComplexPoly, I: int = 25, N: int | None = None) -> MomentReport:
-        return verify_vanishing(
-            self.P, Q, self.a, self.b, self.fv, self.M, self.md, self.D, self.S,
-            I=I, N=N, tol=self.tol,
-        )
+        return verify_vanishing(self.verifier, Q, I=I, N=N, tol=self.tol)
 
 
 @dataclass
@@ -190,10 +202,13 @@ def right_factor_for(inst: ProblemInstance, d: int):
     """The decomposition P = A(B(z)) with deg B = n/d attached to divisor d.
 
     Cross-checks algebra against monodromy: on the basepoint fiber, B must be
-    constant exactly on the residue classes of branch indices mod d.
+    constant exactly on the residue classes of branch indices mod d.  The
+    pair is kept on inst, so the check runs once per divisor.
     """
     if d not in inst.D.divisors:
         raise InvalidDivisor(f"{d} is not an admissible divisor")
+    if d in inst.factors:
+        return inst.factors[d]
     n = inst.n
     got = decompose_right(inst.P, n // d, inst.tol)
     if got is None:
@@ -215,6 +230,7 @@ def right_factor_for(inst: ProblemInstance, d: int):
                 raise BlockMismatch(
                     f"branches {i + 1},{j + 1} in different classes mod {d} but B-values agree"
                 )
+    inst.factors[d] = A, B
     return A, B
 
 
@@ -353,7 +369,9 @@ def decompose_solution(
             continue
         if f < 2:
             raise NotASolution("part through P itself but P(a) != P(b)")
-        sub = quotient_instance(A, B, inst)
+        sub = inst.subs.get(f)
+        if sub is None:
+            sub = inst.subs[f] = quotient_instance(A, B, inst)
         subs = decompose_solution(sub, R, I=I)
         dropped = R(B(a))
         pulled = []

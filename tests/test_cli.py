@@ -180,6 +180,14 @@ def test_moments_above_node_bound_malformed(tmp_path, monkeypatch):
     assert code == 64
 
 
+def test_truncation_above_bound_malformed(tmp_path, monkeypatch):
+    # the inversion takes time n N^2: a truncation above the bound is refused
+    # before any series is built
+    monkeypatch.setattr(series, "_series_eval_in_g", pytest.fail)
+    code, _ = run_cli(tmp_path, t6_job("verify"), extra=("--truncation", "1000000"))
+    assert code == 64
+
+
 def test_existing_output_survives_failed_job(tmp_path):
     out = tmp_path / "report.json"
     out.write_bytes(b"previous report\n")

@@ -412,6 +412,31 @@ def test_branch_consistency_far_field():
     assert branch_consistency_error(ComplexPoly([0.2 + 0.1j, -0.4, 0.3j, 1]), 0.1, 0.9) < 1e-6
 
 
+def _support_loop(s, tol, ref_scale):
+    """PuiseuxSeries.support as a loop over the entries: the reference."""
+    cut = tol * (ref_scale if ref_scale is not None else s.scale())
+    return [s.kmin + j for j, v in enumerate(s.vals) if s.kmin + j <= s.trunc and abs(v) > cut]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_cplx | st.just(0j), min_size=1, max_size=40),
+    st.integers(-30, 5),
+    st.integers(-5, 45),
+    st.sampled_from([1.0, 0.5, 1e-9, 1e-13, 0.0]),
+    st.none() | st.integers(0, 39),
+)
+def test_support_matches_loop(vals, kmin, span, tol, ref_at):
+    # ref_at picks an entry whose modulus is the scale, so some entries sit
+    # exactly at the cut: np.abs of a complex array can round those up
+    vals = np.array(vals, dtype=complex)
+    s = series.PuiseuxSeries(n=6, kmin=kmin, vals=vals, trunc=kmin + span)
+    ref = None if ref_at is None else abs(vals[ref_at % len(vals)])
+    got = s.support(tol, ref_scale=ref)
+    assert got == _support_loop(s, tol, ref)
+    assert all(type(k) is int for k in got)
+
+
 def test_extract_psi_synthetic_support():
     from polymoment.series import PuiseuxSeries
 

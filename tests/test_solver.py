@@ -8,8 +8,8 @@ import math
 import pytest
 
 from polymoment import monodromy as monodromy_module
-from polymoment import solver
-from polymoment.errors import BlockMismatch, InvalidDivisor, NotASolution
+from polymoment import series, solver
+from polymoment.errors import BlockMismatch, InvalidDivisor, MalformedInput, NotASolution
 from polymoment.monodromy import cactus_from_generators, f_vectors, tree_path
 from polymoment.permgroup import circulant_from_row, from_cycles, minimal_projector_rows
 from polymoment.poly import ComplexPoly, affine_equivalent, chebyshev, compose
@@ -400,7 +400,8 @@ def test_quotient_summands_match_rebuild(name, monkeypatch):
         "quotient_instance",
         lambda A, B, parent: build_instance(A, B(parent.a), B(parent.b), tol=parent.tol),
     )
-    want = decompose_solution(inst, Q)
+    # an uncached copy, so the reference does not reuse the first run's quotients
+    want = decompose_solution(dataclasses.replace(inst), Q)
     assert [s.W.degree for s in got] == [s.W.degree for s in want]
     for s, r in zip(got, want):
         for x, y in ((s.Q, r.Q), (s.W, r.W), (s.A_tilde, r.A_tilde), (s.Q_tilde, r.Q_tilde)):
@@ -421,3 +422,135 @@ def test_sub_instance_tracks_nothing(monkeypatch):
     (f, A, B), = _missing_factors(inst)
     assert quotient_instance(A, B, inst).n == f
     assert decompose_solution(inst, Q)
+
+
+# ---------------------------------------------------------------------------
+# what an instance computes once for all its queries
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def inst_t24():
+    c = math.cos(math.pi / 6)
+    return build_instance(chebyshev(24), -c, c)
+
+
+def _cache_case(name, inst_t6, inst_t24):
+    """An instance and its queries (Q, N): solutions of two degrees, so two
+    default truncations, a non-solution c z, and an explicit N."""
+    if name == "T6":
+        inst, sols = inst_t6, [2 * T2 + 5 * T3, 3 * T2]
+    elif name == "T24":
+        inst, sols = inst_t24, [chebyshev(3) + chebyshev(4), 2 * T2 - 1j * chebyshev(6)]
+    else:
+        prob = random_reducible_problem(40)
+        B = prob.inner
+        inst, sols = build_instance(prob.P, prob.a, prob.b), [B, B * B + 2 * B]
+    cz = ComplexPoly([0, 0.3 - 0.7j])
+    n = inst.n
+    explicit = n * (sols[0].degree + 4) + n
+    return inst, [(sols[0], None), (cz, None), (sols[1], None), (sols[0], explicit)]
+
+
+def _summand_data(summands):
+    return [(s.Q.coeffs, s.W.coeffs, s.A_tilde.coeffs, s.Q_tilde.coeffs, s.gap) for s in summands]
+
+
+@pytest.mark.parametrize("name", ["T6", "T24", "composite"])
+def test_cached_queries_match_uncached(name, inst_t6, inst_t24):
+    # the same instance answers every query twice over; each answer equals
+    # that of a copy of the instance with nothing cached
+    inst, queries = _cache_case(name, inst_t6, inst_t24)
+    inst = dataclasses.replace(inst)
+    for _ in range(2):
+        for Q, N in queries:
+            fresh = dataclasses.replace(inst)
+            rep = inst.verify(Q, N=N)
+            assert rep.to_json() == fresh.verify(Q, N=N).to_json()
+            if rep.verdict:
+                got = _summand_data(decompose_solution(inst, Q, N=N))
+                assert got == _summand_data(decompose_solution(dataclasses.replace(inst), Q, N=N))
+    verdicts = [inst.verify(Q, N=N).verdict for Q, N in queries]
+    assert verdicts == [True, False, True, True]
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_verify_reuses_inverse_and_ray(inst_t6, monkeypatch):
+    inst = dataclasses.replace(inst_t6)
+    inverses = _counting(monkeypatch, series, "puiseux_inverse")
+    tracks = _counting(monkeypatch, series, "continue_branches")
+    Q = 2 * T2 + 5 * T3
+    inst.verify(Q)
+    assert (len(inverses), len(tracks)) == (1, 1)
+    inst.verify(Q)
+    inst.verify(3 * Q)  # same degree, so the same default N
+    assert (len(inverses), len(tracks)) == (1, 1)
+    inst.verify(T2)  # a new N: one more inversion, the ray is kept
+    assert (len(inverses), len(tracks)) == (2, 1)
+    inst.verify(Q, N=50)
+    assert (len(inverses), len(tracks)) == (3, 1)
+
+
+def test_instance_construction_computes_no_verifier_data(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an instance was built with verifier data")
+
+    monkeypatch.setattr(series, "puiseux_inverse", forbidden)
+    monkeypatch.setattr(series, "branch_samples", forbidden)
+    inst = build_instance(chebyshev(8), math.cos(0.5), math.cos(0.5 + math.pi / 2))
+    for f, A, B in _missing_factors(inst):
+        quotient_instance(A, B, inst)
+    assert "verifier" not in vars(inst)
+
+
+def test_cached_arrays_read_only(inst_t6):
+    data = inst_t6.verifier
+    arrays = [data.fibers, data.fv, data.basis, data.pt, inst_t6.verify(T2 + T3).w.vals]
+    assert data.fibers.shape == (8, 6) and data.fv.shape[1] == data.basis.shape[1] == 6
+    for x in arrays:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = x[0]
+
+
+def test_second_recursive_decompose_reuses_sub_instances(monkeypatch):
+    inst = build_instance(chebyshev(8), math.cos(0.5), math.cos(0.5 + math.pi / 2))
+    Q = chebyshev(4)
+    first = _summand_data(decompose_solution(inst, Q))
+    quotients = _counting(monkeypatch, solver, "quotient_instance")
+    factors = _counting(monkeypatch, solver, "decompose_right")
+    assert _summand_data(decompose_solution(inst, Q)) == first
+    assert quotients == [] and factors == []
+
+
+@pytest.mark.parametrize("kw", [{"I": -1}, {"I": 2.5}, {"I": True}, {"N": 40.0}, {"N": "40"}])
+def test_verify_rejects_bad_counts(inst_t6, kw):
+    # I = -1 raised ValueError from max() of no moments, I = 2.5 numpy's TypeError
+    with pytest.raises(MalformedInput):
+        inst_t6.verify(T2 + T3, **kw)
+
+
+def test_truncation_above_bound_refused(inst_t24, monkeypatch):
+    # the inversion takes time n N^2; no series is built for a refused N,
+    # whether it is passed or is the default of a high-degree Q
+    monkeypatch.setattr(series, "_series_eval_in_g", pytest.fail)
+    inst = dataclasses.replace(inst_t24)
+    with pytest.raises(MalformedInput, match=f"above {series.MAX_TRUNCATION}"):
+        inst.verify(T2, N=series.MAX_TRUNCATION + 1)
+    with pytest.raises(MalformedInput, match=f"above {series.MAX_TRUNCATION}"):
+        inst.verify(T2, N=10**9)
+    Q = chebyshev(24 * 14 + 2)  # default N = 24 (deg Q + 2) + 48 = 8208
+    assert series.default_truncation(24, Q.degree) > series.MAX_TRUNCATION
+    with pytest.raises(MalformedInput, match=f"above {series.MAX_TRUNCATION}"):
+        inst.verify(Q, I=0)
