@@ -459,6 +459,20 @@ class VerifierData:
         self.inverse = inverse
 
 
+def check_counts(I, N: int | None) -> None:
+    """Refuse a moment count I that is not an integer >= 0 and a truncation N
+    that is not an integer or is above MAX_TRUNCATION.  Callers run it before
+    they build the instance's `VerifierData`, which tracks the sample ray."""
+    if isinstance(I, bool) or not isinstance(I, numbers.Integral) or I < 0:
+        raise MalformedInput(f"the moment count I must be an integer >= 0, got {I!r}")
+    if N is None:
+        return
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
+        raise MalformedInput(f"the truncation N must be an integer, got {N!r}")
+    if N > MAX_TRUNCATION:
+        raise MalformedInput(f"truncation N = {N} is above {MAX_TRUNCATION}")
+
+
 def verify_vanishing(
     data: VerifierData,
     Q: ComplexPoly,
@@ -476,10 +490,7 @@ def verify_vanishing(
     View (iii) is exact: index k violates it iff the piece holding frequency
     k (`permgroup.piece_of`) is in S.  The verdict is the conjunction.
     """
-    if isinstance(I, bool) or not isinstance(I, numbers.Integral) or I < 0:
-        raise MalformedInput(f"the moment count I must be an integer >= 0, got {I!r}")
-    if N is not None and (isinstance(N, bool) or not isinstance(N, numbers.Integral)):
-        raise MalformedInput(f"the truncation N must be an integer, got {N!r}")
+    check_counts(I, N)
     n, a = data.P.degree, data.a
     Qn = Q - Q(a)
     moments, scales = segment_moments(data.pt, Qn, a, data.b, I)

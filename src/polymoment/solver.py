@@ -23,8 +23,7 @@ The recursion strictly decreases the degree, so it terminates.
 
 An instance keeps what its queries share, each computed on first use: the
 verifier's Q-independent half (`series.VerifierData`, keyed by N where it
-depends on it), the right factor (A, B) of each divisor d, and the
-sub-instance of each divisor f that the decomposition recurses into.
+depends on it) and the right factor (A, B) of each divisor d.
 """
 
 from __future__ import annotations
@@ -56,7 +55,9 @@ from .permgroup import (
 )
 from .poly import ComplexPoly, Tolerances, compose, decompose_outer, decompose_right, roots
 from .rational import RationalSubspace, span
-from .series import MomentReport, VerifierData, extract_psi, recover_polynomial, verify_vanishing
+from .series import (
+    MomentReport, VerifierData, check_counts, extract_psi, recover_polynomial, verify_vanishing,
+)
 
 TOL_SUM = 1e-8
 
@@ -77,10 +78,8 @@ class ProblemInstance:
     S: frozenset[int]
     M: RationalSubspace
     tol: Tolerances
-    # per divisor, filled on first use: right_factor_for's (A, B), and the
-    # sub-instance that decompose_solution recurses into
+    # right_factor_for's (A, B) per divisor, filled on first use
     factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    subs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -102,6 +101,7 @@ class ProblemInstance:
         return VerifierData(self.P, self.a, self.b, self.md, self.fv, self.M, self.D, self.S, self.tol)
 
     def verify(self, Q: ComplexPoly, I: int = 25, N: int | None = None) -> MomentReport:
+        check_counts(I, N)  # a malformed count is refused before any tracking
         return verify_vanishing(self.verifier, Q, I=I, N=N, tol=self.tol)
 
 
@@ -369,9 +369,7 @@ def decompose_solution(
             continue
         if f < 2:
             raise NotASolution("part through P itself but P(a) != P(b)")
-        sub = inst.subs.get(f)
-        if sub is None:
-            sub = inst.subs[f] = quotient_instance(A, B, inst)
+        sub = quotient_instance(A, B, inst)
         subs = decompose_solution(sub, R, I=I)
         dropped = R(B(a))
         pulled = []

@@ -400,8 +400,7 @@ def test_quotient_summands_match_rebuild(name, monkeypatch):
         "quotient_instance",
         lambda A, B, parent: build_instance(A, B(parent.a), B(parent.b), tol=parent.tol),
     )
-    # an uncached copy, so the reference does not reuse the first run's quotients
-    want = decompose_solution(dataclasses.replace(inst), Q)
+    want = decompose_solution(inst, Q)
     assert [s.W.degree for s in got] == [s.W.degree for s in want]
     for s, r in zip(got, want):
         for x, y in ((s.Q, r.Q), (s.W, r.W), (s.A_tilde, r.A_tilde), (s.Q_tilde, r.Q_tilde)):
@@ -524,21 +523,32 @@ def test_cached_arrays_read_only(inst_t6):
             x[0] = x[0]
 
 
-def test_second_recursive_decompose_reuses_sub_instances(monkeypatch):
+def test_second_recursive_decompose_reuses_right_factors(monkeypatch):
     inst = build_instance(chebyshev(8), math.cos(0.5), math.cos(0.5 + math.pi / 2))
     Q = chebyshev(4)
     first = _summand_data(decompose_solution(inst, Q))
-    quotients = _counting(monkeypatch, solver, "quotient_instance")
-    factors = _counting(monkeypatch, solver, "decompose_right")
+    degrees = []
+    factor = solver.decompose_right
+    monkeypatch.setattr(
+        solver, "decompose_right", lambda P, *args: degrees.append(P.degree) or factor(P, *args),
+    )
     assert _summand_data(decompose_solution(inst, Q)) == first
-    assert quotients == [] and factors == []
+    # the parent's factors are kept; the sub-instance is built afresh and
+    # factors its own P
+    assert degrees == [4]
 
 
-@pytest.mark.parametrize("kw", [{"I": -1}, {"I": 2.5}, {"I": True}, {"N": 40.0}, {"N": "40"}])
-def test_verify_rejects_bad_counts(inst_t6, kw):
-    # I = -1 raised ValueError from max() of no moments, I = 2.5 numpy's TypeError
+@pytest.mark.parametrize(
+    "kw", [{"I": -1}, {"I": 2.5}, {"I": True}, {"N": 40.0}, {"N": "40"}, {"N": 10**9}],
+)
+def test_verify_rejects_bad_counts(inst_t6, kw, monkeypatch):
+    # I = -1 raised ValueError from max() of no moments, I = 2.5 numpy's TypeError;
+    # the count is refused before the instance tracks its sample ray
+    monkeypatch.setattr(series, "branch_samples", pytest.fail)
+    inst = dataclasses.replace(inst_t6)
     with pytest.raises(MalformedInput):
-        inst_t6.verify(T2 + T3, **kw)
+        inst.verify(T2 + T3, **kw)
+    assert "verifier" not in vars(inst)
 
 
 def test_truncation_above_bound_refused(inst_t24, monkeypatch):
