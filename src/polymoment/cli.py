@@ -5,15 +5,17 @@ vanishing checks on Q), decompose (split a solution into reducible
 summands), generate (emit a random reducible problem), selftest (run a fixed
 miniature corpus).  Exit codes: 0 success / verdict true / nonempty
 decomposition, 2 verdict false or not a solution, 1 internal error, 64
-malformed input.
+malformed input (the cases below, a truncation too short for the job among
+them).
 
 Each job builds one `Tolerances` from the --tol-<field> flags and the job's
 "tol-<field>" options (a flag wins) and hands it to its command; the report
 echoes it under options.tolerances.  Numeric flags and options that do not
 convert, a count that is a boolean or has a fractional part, a negative
-count, a seed numpy cannot take, a tolerance that is negative or not finite,
-a coefficient or endpoint that is not finite, and an --output file that
-cannot be written are malformed input.
+count, a seed numpy cannot take, a truncation shorter than the expansion of
+Q(P^-1) needs (N < deg P + deg Q - 1), a tolerance that is negative or not
+finite, a coefficient or endpoint that is not finite, and an --output file
+that cannot be written are malformed input.
 """
 
 from __future__ import annotations

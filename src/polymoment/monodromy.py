@@ -4,17 +4,24 @@ The preimage of a star (a basepoint c joined to every finite critical value
 by non-crossing arcs) under a degree-n polynomial P is a planar tree: n
 "star" centers, one per inverse branch, and colored vertices, one per cycle
 of the local permutation at each critical value.  Loops around the critical
-values are tracked numerically to produce the permutations g_1..g_k and the
-loop around infinity.  Each loop is a lasso that stops at its circle: the
-fiber goes from c to the point q where the circle starts, round the circle,
-and is matched against the fiber recorded at q (the way back from q to c
-would only carry the labels along the same segment).  An Euler predictor
-and a Newton corrector capped at 8 updates act on the full fiber; a step
-whose predictor already moves a branch too far is halved before the
-corrector runs, the step doubles after an accepted step and halves after a
-rejected one, and P, P' and the rounding floor come from one fused
-power-table kernel.  Branches are then relabeled so that the infinity
-permutation is exactly (1 2 ... n).
+values give the permutations g_1..g_k and the loop around infinity.  Each
+finite loop is a lasso: the fiber is tracked from c along the leg to the
+point q where its circle starts (the way back from q to c would only carry
+the labels along the same segment), and the permutation is read at q from
+the critical points over the value.  Near a critical point zeta of local
+degree e, P - v ~ alpha (z - zeta)^e, so the circle moves each of the e
+fiber values nearest zeta to the next one counterclockwise in arg(w - zeta)
+(the local-monodromy step of Poteaux, SNC 2007).  A value with no critical
+point over it reads as the identity, and needs no leg.  A reading that its
+isolation, angle and claim tests cannot certify falls back to tracking the
+circle and matching the fiber after it against the fiber at q; the loop at
+infinity is always tracked, so `check_relations` checks the readings
+independently.  An Euler predictor and a Newton corrector capped at 8
+updates act on the full fiber; a step whose predictor already moves a
+branch too far is halved before the corrector runs, the step doubles after
+an accepted step and halves after a rejected one, and P, P' and the
+rounding floor come from one fused power-table kernel.  Branches are then
+relabeled so that the infinity permutation is exactly (1 2 ... n).
 
 Conventions, fixed once and verified by the branch-consistency tests:
 permutations compose left-to-right, loops around finite values run
@@ -32,6 +39,7 @@ otherwise).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +70,9 @@ class MonodromyData:
     Branch numbering is normalized so g_inf = (1 2 ... n); `fiber` holds the
     branch values above `base_point` in that numbering (branch i at
     fiber[i-1]).  The numbering is canonical up to the choice of branch 1.
+    `critical_points` holds, per value, its critical points as (zeta, e)
+    clusters, e - 1 roots of P' at zeta; monodromy induced on a right
+    factor's blocks carries none.
     """
 
     n: int
@@ -71,6 +82,7 @@ class MonodromyData:
     generators: tuple[Permutation, ...]
     g_inf: Permutation
     fiber: tuple[complex, ...]
+    critical_points: tuple[tuple[tuple[complex, int], ...], ...] = ()
 
     @property
     def k(self) -> int:
@@ -138,14 +150,19 @@ class Cactus:
 
 
 def _cluster_values(vals, radius):
+    """Representatives of vals, each the first value not within radius of an
+    earlier one, and the index of every value's representative."""
     reps: list[complex] = []
+    labels = []
     for v in vals:
-        for r in reps:
+        for i, r in enumerate(reps):
             if abs(v - r) <= radius:
                 break
         else:
+            i = len(reps)
             reps.append(v)
-    return reps
+        labels.append(i)
+    return reps, labels
 
 
 def choose_basepoint(values) -> complex:
@@ -177,25 +194,41 @@ def choose_basepoint(values) -> complex:
 def critical_data(P: ComplexPoly, a: complex, b: complex, tol: Tolerances = Tolerances()):
     """Distinct finite critical values, supplemented by P(a), P(b) if needed.
 
-    Returns (values, supplemented_flags, c): the basepoint c chosen for the
-    values, which are ordered counterclockwise by angle around it.
+    Returns (values, supplemented_flags, c, points): the basepoint c chosen
+    for the values, which are ordered counterclockwise by angle around it,
+    and per value the critical points over it as (zeta, e) clusters of e - 1
+    roots of P'.  A supplemented value has none.
     """
     if P.degree < 2:
         raise DegenerateInput("deg P must be >= 2")
     if abs(a - b) <= 1e-13 * (1 + abs(a) + abs(b)):
         raise DegenerateInput("endpoints must be distinct")
-    crit_pts = roots(derivative(P), tol)
+    dP = derivative(P)
+    crit_pts = roots(dP, tol)
     vals = [P(z) for z in crit_pts]
     radius = tol.cluster * (1.0 + max(abs(v) for v in vals))
-    values = _cluster_values(vals, radius)
-    flags = [False] * len(values)
+    values, value_of = _cluster_values(vals, radius)
+    zetas, zeta_of = _cluster_values(crit_pts, tol.cluster * (1.0 + max(abs(z) for z in crit_pts)))
+    # roots() refines a multiple root on a higher derivative but leaves a
+    # simple one where its backward error met tol.root, ~1e-6 off on T_24
+    simple = [p for p in range(len(zetas)) if zeta_of.count(p) == 1]
+    for p, z in zip(simple, polish_fiber(dP, 0.0, [zetas[p] for p in simple])):
+        zetas[p] = complex(z)
+    points = [[] for _ in values]
+    for (p, s), m in Counter(zip(zeta_of, value_of)).items():
+        points[s].append((zetas[p], 1 + m))
     for w in (P(a), P(b)):
         if all(abs(w - v) > radius for v in values):
             values.append(w)
-            flags.append(True)
+            points.append([])
     c = choose_basepoint(values)
     order = sorted(range(len(values)), key=lambda i: np.angle(values[i] - c))
-    return [values[i] for i in order], [flags[i] for i in order], c
+    return (
+        [values[i] for i in order],
+        [not points[i] for i in order],
+        c,
+        [tuple(points[i]) for i in order],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +364,37 @@ def _match_permutation(start, end) -> Permutation:
     return Permutation(images)
 
 
+def _local_reading(w, points) -> Permutation | None:
+    """The loop's permutation read from the fiber w at the start q of its
+    circle, or None when the reading is not certified.
+
+    Each critical point (zeta, e) over the value moves the e fiber values
+    nearest zeta one step counterclockwise in arg(w - zeta).  Certified only
+    if, for every cluster, the e-th nearest distance doubled is at most the
+    (e+1)-th (all n values are taken when e = n), every angular gap of the
+    e values lies in [0.5, 1.5] 2 pi / e, and no branch is claimed twice.  A
+    value with no critical point over it reads as the identity: its loop's
+    disk holds no critical value.
+    """
+    n = len(w)
+    images = np.arange(1, n + 1)
+    claimed = np.zeros(n, dtype=bool)
+    for zeta, e in points:
+        d = np.abs(w - zeta)
+        near = np.argsort(d)
+        if e < n and 2.0 * d[near[e - 1]] > d[near[e]]:
+            return None
+        ang = np.angle(w[near[:e]] - zeta)
+        order = np.argsort(ang)
+        cycle, ang = near[:e][order], ang[order]
+        gaps = np.diff(ang, append=ang[0] + 2 * np.pi) * (e / (2 * np.pi))
+        if gaps.min() < 0.5 or gaps.max() > 1.5 or claimed[cycle].any():
+            return None
+        claimed[cycle] = True
+        images[cycle] = np.roll(cycle, -1) + 1
+    return Permutation(images.tolist())
+
+
 def _circle(center: complex, radius: float, start_angle: float, ccw: bool, segments: int):
     sgn = 1.0 if ccw else -1.0
     return [
@@ -398,20 +462,30 @@ def monodromy(
 ) -> MonodromyData:
     """Loop permutations around every (supplemented) critical value of P.
 
-    The computed permutations pass `check_relations`; a failure means the
-    tracking tolerances were too coarse for this input.  Branches are
-    relabeled so g_inf = (1 2 ... n); branch 1 is the first root of the
-    basepoint fiber, an arbitrary but deterministic choice.
+    Each finite loop is tracked along its leg and read at the start of its
+    circle by `_local_reading`; the circle is tracked only where the reading
+    is not certified.  The loop at infinity is always tracked.  The computed
+    permutations pass `check_relations`; a failure means the tracking
+    tolerances were too coarse for this input.  Branches are relabeled so
+    g_inf = (1 2 ... n); branch 1 is the first root of the basepoint fiber,
+    an arbitrary but deterministic choice.
     """
     n = P.degree
-    values, flags, c = critical_data(P, a, b, tol)
+    values, flags, c, points = critical_data(P, a, b, tol)
     fiber = polish_fiber(P, c, roots(P - c, tol, seed=seed))
 
-    perms = []
-    for loop in _lassos(c, values, n):
-        fibers = continue_branches(P, loop, fiber, tol)
-        perms.append(_match_permutation(fibers[1], fibers[-1]))
-    gens, g_inf = perms[:-1], perms[-1]
+    *lassos, big = _lassos(c, values, n)
+    gens = []
+    for loop, over in zip(lassos, points):
+        g = identity(n)
+        if over:
+            at_q = continue_branches(P, loop[:2], fiber, tol)[-1]
+            g = _local_reading(at_q, over)
+            if g is None:
+                g = _match_permutation(at_q, continue_branches(P, loop[1:], at_q, tol)[-1])
+        gens.append(g)
+    fibers = continue_branches(P, big, fiber, tol)
+    g_inf = _match_permutation(fibers[1], fibers[-1])
     check_relations(gens, g_inf, n)
 
     # relabel so that g_inf becomes (1 2 ... n), branch 1 = first fiber root:
@@ -432,6 +506,7 @@ def monodromy(
         generators=tuple(gens),
         g_inf=g_inf,
         fiber=tuple(new_fiber),
+        critical_points=tuple(points),
     )
 
 
@@ -440,17 +515,13 @@ def monodromy(
 # ---------------------------------------------------------------------------
 
 
-def multiplicity_at(P: ComplexPoly, z: complex) -> int:
-    """Order of vanishing of P - P(z) at z, by scaled derivative tests."""
-    q = derivative(P)
-    m = 1
-    while q.degree >= 0:
-        scale = sum(abs(cf) * max(1.0, abs(z)) ** j for j, cf in enumerate(q.coeffs))
-        if abs(q(z)) > 1e-8 * (scale + 1.0):
-            return m
-        q = derivative(q)
-        m += 1
-    return m
+def multiplicity_at(md: MonodromyData, z: complex, tol: Tolerances = Tolerances()) -> int:
+    """Order of vanishing of P - P(z) at z: 1 + the roots of P' clustered at
+    z, read from the critical points of `md` at the radius `critical_data`
+    clusters them with."""
+    pts = [p for over in md.critical_points for p in over]
+    radius = tol.cluster * (1.0 + max((abs(zeta) for zeta, _ in pts), default=0.0))
+    return next((e for zeta, e in pts if abs(zeta - z) <= radius), 1)
 
 
 def _locate_branches(
@@ -601,11 +672,12 @@ def build_cactus(
 
     V(a) is found by continuing the fiber along the arc toward P(a)'s vertex
     color and picking the branches that converge to a; their count is the
-    multiplicity of a.  `cactus_from_vertices` checks the sets on every build.
+    multiplicity of a, 1 + the roots of P' clustered at a.
+    `cactus_from_vertices` checks the sets on every build.
     """
     s_a, s_b, same_value = endpoint_colors(md, P(a), P(b), tol)
-    Va = _locate_branches(P, md, a, s_a, multiplicity_at(P, a), tol)
-    Vb = _locate_branches(P, md, b, s_b, multiplicity_at(P, b), tol)
+    Va = _locate_branches(P, md, a, s_a, multiplicity_at(md, a, tol), tol)
+    Vb = _locate_branches(P, md, b, s_b, multiplicity_at(md, b, tol), tol)
     return cactus_from_vertices(md, s_a, Va, s_b, Vb, same_value)
 
 

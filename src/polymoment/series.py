@@ -459,10 +459,12 @@ class VerifierData:
         self.inverse = inverse
 
 
-def check_counts(I, N: int | None) -> None:
+def check_counts(I, N: int | None, n: int, deg_q: int) -> None:
     """Refuse a moment count I that is not an integer >= 0 and a truncation N
-    that is not an integer or is above MAX_TRUNCATION.  Callers run it before
-    they build the instance's `VerifierData`, which tracks the sample ray."""
+    that is not an integer, is above MAX_TRUNCATION, or is shorter than the
+    expansion of Q(P^-1) needs for deg P = n: the inversion needs N >= n, and
+    Q(w) keeps N + 1 - deg Q of its orders.  Callers run it before they
+    build the instance's `VerifierData`, which tracks the sample ray."""
     if isinstance(I, bool) or not isinstance(I, numbers.Integral) or I < 0:
         raise MalformedInput(f"the moment count I must be an integer >= 0, got {I!r}")
     if N is None:
@@ -471,6 +473,10 @@ def check_counts(I, N: int | None) -> None:
         raise MalformedInput(f"the truncation N must be an integer, got {N!r}")
     if N > MAX_TRUNCATION:
         raise MalformedInput(f"truncation N = {N} is above {MAX_TRUNCATION}")
+    if deg_q >= 1 and N < n + deg_q - 1:
+        raise MalformedInput(
+            f"truncation N = {N} is below n + deg Q - 1 = {n + deg_q - 1}"
+        )
 
 
 def verify_vanishing(
@@ -490,8 +496,8 @@ def verify_vanishing(
     View (iii) is exact: index k violates it iff the piece holding frequency
     k (`permgroup.piece_of`) is in S.  The verdict is the conjunction.
     """
-    check_counts(I, N)
     n, a = data.P.degree, data.a
+    check_counts(I, N, n, Q.degree)
     Qn = Q - Q(a)
     moments, scales = segment_moments(data.pt, Qn, a, data.b, I)
     m_res = max(

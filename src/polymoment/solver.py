@@ -101,7 +101,7 @@ class ProblemInstance:
         return VerifierData(self.P, self.a, self.b, self.md, self.fv, self.M, self.D, self.S, self.tol)
 
     def verify(self, Q: ComplexPoly, I: int = 25, N: int | None = None) -> MomentReport:
-        check_counts(I, N)  # a malformed count is refused before any tracking
+        check_counts(I, N, self.n, Q.degree)  # a malformed count is refused before any tracking
         return verify_vanishing(self.verifier, Q, I=I, N=N, tol=self.tol)
 
 

@@ -384,3 +384,16 @@ def test_internal_error_reported_as_json(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert "error" in err and "detail" in err
+
+
+@pytest.mark.parametrize("N", ["3", "7"])
+def test_truncation_below_expansion_malformed(tmp_path, capsys, N):
+    # deg P = 6, deg Q = 3: the inversion needs N >= 6 and Q(w) keeps N - 2
+    # orders, so N >= 8; a shorter truncation raised TruncationTooShort and
+    # exited 1, the internal-error code
+    code, _ = run_cli(tmp_path, t6_job("verify"), extra=("--truncation", N))
+    assert code == 64
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MalformedInput" and "n + deg Q - 1 = 8" in err["detail"]
+    code, rep = run_cli(tmp_path, t6_job("verify"), extra=("--truncation", "8"))
+    assert code == 0 and rep["report"]["verdict"] is True

@@ -38,7 +38,7 @@ def close_to(values, target, tol=1e-8):
 
 
 def test_critical_data_square():
-    vals, flags, _ = critical_data(ComplexPoly([0, 0, 1]), 1, -1)
+    vals, flags, _, _ = critical_data(ComplexPoly([0, 0, 1]), 1, -1)
     assert len(vals) == 2
     assert close_to(vals, 0) and close_to(vals, 1)
     by_val = dict(zip([round(v.real) for v in vals], flags))
@@ -47,14 +47,14 @@ def test_critical_data_square():
 
 def test_critical_data_cubic():
     # critical points of z^3 - 3z at z = -1, 1 with values 2, -2
-    vals, flags, _ = critical_data(ComplexPoly([0, -3, 0, 1]), 0, SQ3)
+    vals, flags, _, _ = critical_data(ComplexPoly([0, -3, 0, 1]), 0, SQ3)
     assert close_to(vals, 2) and close_to(vals, -2) and close_to(vals, 0)
     # P(0) = P(sqrt 3) = 0: a single shared supplement
     assert sum(flags) == 1
 
 
 def test_critical_data_t6_no_supplement():
-    vals, flags, _ = critical_data(T6, -SQ3 / 2, SQ3 / 2)
+    vals, flags, _, _ = critical_data(T6, -SQ3 / 2, SQ3 / 2)
     assert len(vals) == 2 and not any(flags)
     assert close_to(vals, 1) and close_to(vals, -1)
 
@@ -78,7 +78,7 @@ def test_choose_basepoint_contract():
 
 
 def test_monodromy_uses_the_critical_data_basepoint():
-    _, _, c = critical_data(T6, -SQ3 / 2, SQ3 / 2)
+    _, _, c, _ = critical_data(T6, -SQ3 / 2, SQ3 / 2)
     assert monodromy(T6, -SQ3 / 2, SQ3 / 2).base_point == c
 
 
@@ -227,9 +227,10 @@ def test_build_cactus_t6_multiplicities():
 
 
 def test_multiplicity_at():
-    assert multiplicity_at(T6, SQ3 / 2) == 2
-    assert multiplicity_at(T6, 0.3) == 1
-    assert multiplicity_at(ComplexPoly([0, 0, 0, 1]), 0) == 3
+    md_t6 = monodromy(T6, -SQ3 / 2, SQ3 / 2)
+    assert multiplicity_at(md_t6, SQ3 / 2) == 2
+    assert multiplicity_at(md_t6, 0.3) == 1
+    assert multiplicity_at(monodromy(ComplexPoly([0, 0, 0, 1]), 0, 1), 0) == 3
 
 
 FIG1_GENS = [
@@ -431,3 +432,100 @@ def test_lasso_matches_round_trip(name):
     ]
     assert [raw(g).images for g in md.generators] == [g.images for g in round_trip[:-1]]
     assert raw(md.g_inf).images == round_trip[-1].images
+
+
+# ---------------------------------------------------------------------------
+# finite loops read at their critical points
+# ---------------------------------------------------------------------------
+
+
+def _reading_case(name):
+    if name.startswith("random"):
+        prob = random_reducible_problem(int(name[len("random"):]))
+        return prob.P, prob.a, prob.b
+    if name.startswith("z"):
+        return ComplexPoly([0] * int(name[1:]) + [1]), 0.37, 0.81
+    return _golden_case(name)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN) + [f"random{s}" for s in range(30)] + ["z8", "z12"])
+def test_local_reading_matches_tracked_circle(name):
+    # every loop the reading certifies must equal the permutation of its
+    # tracked circle, matched at the start q of the circle
+    P, a, b = _reading_case(name)
+    values, _, c, points = critical_data(P, a, b)
+    fiber = polish_fiber(P, c, roots(P - c, Tolerances()))
+    certified = 0
+    for loop, over in zip(_lassos(c, values, P.degree), points):
+        if not over:
+            continue
+        at_q = continue_branches(P, loop[:2], fiber)[-1]
+        read = mono._local_reading(at_q, over)
+        if read is not None:
+            tracked = _match_permutation(at_q, continue_branches(P, loop[1:], at_q)[-1])
+            assert read.images == tracked.images
+            certified += 1
+    assert certified >= 1
+
+
+def test_local_reading_certification():
+    # a cluster (zeta, e) moves its e nearest values one step counterclockwise
+    w3 = np.exp(2j * np.pi * np.arange(3) / 3)
+    assert mono._local_reading(w3, [(0.0, 3)]).images == (2, 3, 1)
+    w = np.array([1.0, -1.0, 3.0, 3.0j])
+    assert mono._local_reading(w, [(0.0, 2)]).images == (2, 1, 3, 4)
+    # no critical point over the value: the identity, whatever the fiber
+    assert mono._local_reading(w, ()).is_identity()
+    # the 2nd nearest value doubled exceeds the 3rd: not isolated
+    assert mono._local_reading(np.array([1.0, -1.0, 1.5, 9.0]), [(0.0, 2)]) is None
+    # angular gaps of 0.3 and 2 pi - 0.3 against pi: uneven
+    assert mono._local_reading(np.array([1.0, np.exp(0.3j), 5.0, -5.0]), [(0.0, 2)]) is None
+    # two clusters claiming branches 1 and 2
+    assert mono._local_reading(w, [(0.0, 2), (0.1, 2)]) is None
+
+
+def _tracked_paths(monkeypatch):
+    lengths = []
+    real = mono.continue_branches
+
+    def spy(P, path, start, tol=Tolerances()):
+        lengths.append(len(path))
+        return real(P, path, start, tol)
+
+    monkeypatch.setattr(mono, "continue_branches", spy)
+    return lengths
+
+
+def test_t6_tracks_no_finite_circle(monkeypatch):
+    # one leg per critical value, then the loop at infinity: no finite circle
+    lengths = _tracked_paths(monkeypatch)
+    md = monodromy(T6, -SQ3 / 2, SQ3 / 2)
+    assert lengths == [2, 2, 2 + mono.CIRCLE_SEGMENTS]
+    assert [list(g.images) for g in md.generators] == GOLDEN["T6"][0]
+
+
+def test_value_without_critical_point_needs_no_leg(monkeypatch):
+    # z^2 on [1, -1]: P(1) = 1 is supplemented, no critical point lies over
+    # it, and its loop reads as the identity without any tracking
+    lengths = _tracked_paths(monkeypatch)
+    md = monodromy(ComplexPoly([0, 0, 1]), 1, -1)
+    assert md.supplemented.count(True) == 1
+    assert md.generators[md.supplemented.index(True)].is_identity()
+    assert lengths == [2, 2 + mono.CIRCLE_SEGMENTS]
+
+
+def test_refused_reading_tracks_circle(monkeypatch):
+    # every cluster handed over twice claims its branches twice: each reading
+    # is refused, so each finite circle is tracked, with the same result
+    real = mono.critical_data
+
+    def doubled(*args, **kwargs):
+        values, flags, c, points = real(*args, **kwargs)
+        return values, flags, c, [over + over for over in points]
+
+    monkeypatch.setattr(mono, "critical_data", doubled)
+    lengths = _tracked_paths(monkeypatch)
+    md = monodromy(T6, -SQ3 / 2, SQ3 / 2)
+    circle = 1 + mono.CIRCLE_SEGMENTS
+    assert lengths == [2, circle, 2, circle, 2 + mono.CIRCLE_SEGMENTS]
+    assert [list(g.images) for g in md.generators] == GOLDEN["T6"][0]

@@ -564,3 +564,34 @@ def test_truncation_above_bound_refused(inst_t24, monkeypatch):
     assert series.default_truncation(24, Q.degree) > series.MAX_TRUNCATION
     with pytest.raises(MalformedInput, match=f"above {series.MAX_TRUNCATION}"):
         inst.verify(Q, I=0)
+
+
+@pytest.mark.parametrize("N", [3, 7])
+def test_verify_rejects_short_truncation(inst_t6, N, monkeypatch):
+    # N below n + deg Q - 1 = 8 is refused before the sample ray is tracked;
+    # a constant Q needs no expansion, so any N passes for it
+    monkeypatch.setattr(series, "branch_samples", pytest.fail)
+    inst = dataclasses.replace(inst_t6)
+    with pytest.raises(MalformedInput, match="n \\+ deg Q - 1 = 8"):
+        inst.verify(2 * T2 + 5 * T3, N=N)
+    assert "verifier" not in vars(inst)
+    monkeypatch.undo()
+    assert inst.verify(ComplexPoly([2.0]), N=N).verdict
+
+
+# theta of the benchmark's T24q12 template: a = cos theta, b = cos(theta + pi/6)
+T24Q12_THETA = 0.10770831797354113
+
+
+@pytest.mark.parametrize(
+    "theta, step, S",
+    [(0.5, math.pi / 2, {4, 8, 12, 24}), (T24Q12_THETA, math.pi / 6, {3, 4, 6, 8, 12, 24})],
+    ids=["cos_pair", "T24q12"],
+)
+def test_t24_noncritical_endpoints_build(theta, step, S):
+    # neither endpoint is a critical point of T_24, so both have multiplicity
+    # 1; derivative thresholds of 1e-8 on T_24's coefficients (near 2^22)
+    # counted 2 and 4 or 5 and raised VertexMismatch
+    inst = build_instance(chebyshev(24), math.cos(theta), math.cos(theta + step))
+    assert (inst.cactus.d_a, inst.cactus.d_b) == (1, 1)
+    assert set(inst.S) == S
