@@ -159,16 +159,10 @@ def run_decompose(job: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
         summands = decompose_solution(inst, Q, I=opts["moments"], N=opts["truncation"])
     except NotASolution as exc:
         return {"error": "NotASolution", "detail": str(exc)}, 2
-    body = []
-    for s in summands:
-        item = s.to_json()
-        r_factor = (inst.P - compose(s.A_tilde, s.W)).coeffs
-        r_solution = (s.Q - compose(s.Q_tilde, s.W)).coeffs
-        item["residuals"] = {
-            "factor": max((abs(c) for c in r_factor), default=0.0),
-            "solution": max((abs(c) for c in r_solution), default=0.0),
-        }
-        body.append(item)
+    body = [
+        {**s.to_json(), "residuals": {"factor": s.r_factor, "solution": s.r_solution}}
+        for s in summands
+    ]
     return {"count": len(summands), "summands": body}, 0
 
 
@@ -288,6 +282,11 @@ def _check_output(path: str):
         raise MalformedInput(f"--output {path}: not a writable file")
 
 
+def _malformed(exc: Exception) -> int:
+    print(json.dumps({"error": "MalformedInput", "detail": str(exc)}), file=sys.stderr)
+    return 64
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -304,14 +303,12 @@ def main(argv=None) -> int:
         if args.output:
             _check_output(args.output)
     except (MalformedInput, OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": "MalformedInput", "detail": str(exc)}), file=sys.stderr)
-        return 64
+        return _malformed(exc)
 
     try:
         report, code = run_job(job, args)
     except MalformedInput as exc:
-        print(json.dumps({"error": "MalformedInput", "detail": str(exc)}), file=sys.stderr)
-        return 64
+        return _malformed(exc)
     except Exception as exc:
         detail = str(exc)
         if not isinstance(exc, MomentProblemError):
@@ -327,8 +324,7 @@ def main(argv=None) -> int:
             with open(args.output, "w") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            print(json.dumps({"error": "MalformedInput", "detail": str(exc)}), file=sys.stderr)
-            return 64
+            return _malformed(exc)
     else:
         print(text)
     return code

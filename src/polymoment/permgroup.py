@@ -377,18 +377,8 @@ def piece_of(lattice: DivisorLattice, k: int) -> int:
 
 
 def u_dimension(lattice: DivisorLattice, d: int) -> int:
-    """dim U_d = dim V_d minus the dimension of the sum of covered V_f.
-
-    Counted on the character side: V_d corresponds to the frequencies j with
-    (n/d) | j, so the dimension of a sum of V_f is the size of the union of
-    the frequency sets.
-    """
-    n = lattice.n
-    covered = set()
-    for f in lattice.covers[d]:
-        step = n // f
-        covered |= set(range(0, n, step))
-    return d - len(covered)
+    """dim U_d: the number of frequencies k in Z_n whose piece is U_d."""
+    return sum(piece_of(lattice, k) == d for k in range(lattice.n))
 
 
 # ---------------------------------------------------------------------------

@@ -159,11 +159,6 @@ def derivative(p: ComplexPoly) -> ComplexPoly:
     return ComplexPoly([k * c for k, c in enumerate(p.coeffs)][1:])
 
 
-def integral(p: ComplexPoly, const: complex = 0.0) -> ComplexPoly:
-    """Formal antiderivative with chosen constant term."""
-    return ComplexPoly([const] + [c / (k + 1) for k, c in enumerate(p.coeffs)])
-
-
 def compose(outer: ComplexPoly, inner: ComplexPoly) -> ComplexPoly:
     """Coefficients of outer(inner(z)), by Horner over polynomials."""
     acc = ComplexPoly()

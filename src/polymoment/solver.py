@@ -16,7 +16,11 @@ decomposed constructively: split its expansion at infinity along index
 classes (n/f)Z for admissible f in decreasing order, descend each part to a
 polynomial S_f = R_f(B_f), and either emit (S_f, B_f) directly when
 B_f(a) = B_f(b) or recurse on the outer polynomial A_f with endpoints
-B_f(a), B_f(b) and pull the returned factorizations back through B_f.  The
+B_f(a), B_f(b) and pull each returned summand back by composing its W and Q
+with B_f.  Every right factor is monic with W(0) = 0, so the composite is
+too, and A_tilde, Q_tilde carry over as they are.  Each summand is built by
+`summand`, which checks P = A_tilde(W) and Q = Q_tilde(W) and keeps both
+residuals; attaching a constant builds, and so checks, it again.  The
 sub-instance reads A_f's monodromy off P's, tracking nothing: B_f is constant
 on the residue classes mod f, which P's loop permutations permute as A_f's.
 The recursion strictly decreases the degree, so it terminates.
@@ -29,7 +33,7 @@ depends on it) and the right factor (A, B) of each divisor d.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,7 +76,6 @@ class ProblemInstance:
     b: complex
     md: MonodromyData
     cactus: Cactus
-    path: tuple
     fv: tuple[tuple[int, ...], ...]
     D: DivisorLattice
     S: frozenset[int]
@@ -107,13 +110,17 @@ class ProblemInstance:
 
 @dataclass
 class ReducibleSummand:
-    """One term Q_j = Q_tilde(W(z)) with P = A_tilde(W(z)) and W(a) = W(b)."""
+    """One term Q_j = Q_tilde(W(z)) with P = A_tilde(W(z)) and W(a) = W(b),
+    with the residuals max|P - A_tilde(W)| and max|Q_j - Q_tilde(W)| of the
+    check in `summand`, which builds it."""
 
     Q: ComplexPoly
     W: ComplexPoly
     A_tilde: ComplexPoly
     Q_tilde: ComplexPoly
     gap: float
+    r_factor: float
+    r_solution: float
 
     def to_json(self) -> dict:
         from .poly import poly_to_json
@@ -127,16 +134,6 @@ class ReducibleSummand:
         }
 
 
-def _check_summand(s: ReducibleSummand, P: ComplexPoly, tol: float):
-    scale = max(P.coeff_scale(), s.Q.coeff_scale(), 1.0)
-    r1 = max((abs(c) for c in (P - compose(s.A_tilde, s.W)).coeffs), default=0.0)
-    r2 = max((abs(c) for c in (s.Q - compose(s.Q_tilde, s.W)).coeffs), default=0.0)
-    if r1 > tol * scale or r2 > tol * scale:
-        raise ResidualNonzero(
-            f"summand residuals {r1:.3g}, {r2:.3g} exceed {tol * scale:.3g}"
-        )
-
-
 def build_instance(
     P: ComplexPoly, a: complex, b: complex, seed: int = 0, tol: Tolerances = Tolerances()
 ) -> ProblemInstance:
@@ -148,9 +145,8 @@ def build_instance(
 def instance_from_tree(
     P: ComplexPoly, a: complex, b: complex, md: MonodromyData, cactus: Cactus, tol: Tolerances
 ) -> ProblemInstance:
-    """Path, sign vectors, divisor lattice, divisor set and subspace."""
-    path = tree_path(cactus)
-    fv = f_vectors(cactus, path)
+    """Sign vectors, divisor lattice, divisor set and subspace."""
+    fv = f_vectors(cactus, tree_path(cactus))
     n = P.degree
     D = divisor_lattice(list(md.generators) + [md.g_inf], n)
     rows = minimal_projector_rows(D)
@@ -164,7 +160,7 @@ def instance_from_tree(
     # M = sum of U_d over S, spanned by the shifts of the summed projector
     rho = tuple(map(sum, zip(*(rows[d] for d in S))))
     return ProblemInstance(
-        P=P, a=a, b=b, md=md, cactus=cactus, path=path, fv=fv, D=D, S=S,
+        P=P, a=a, b=b, md=md, cactus=cactus, fv=fv, D=D, S=S,
         M=span(circulant_from_row(rho), n), tol=tol,
     )
 
@@ -286,10 +282,31 @@ def double_decompositions(inst: ProblemInstance):
     return pairs
 
 
-def _emit(P, S, A, B, R, gap, tol) -> ReducibleSummand:
-    s = ReducibleSummand(Q=S, W=B, A_tilde=A, Q_tilde=R, gap=gap)
-    _check_summand(s, P, tol)
-    return s
+def _max_coeff(p: ComplexPoly) -> float:
+    return max((abs(c) for c in p.coeffs), default=0.0)
+
+
+def summand(inst: ProblemInstance, Q, W, A_tilde, Q_tilde) -> ReducibleSummand:
+    """The summand Q = Q_tilde(W) of a solution on inst, checked.
+
+    Raises ResidualNonzero unless P = A_tilde(W) and Q = Q_tilde(W) up to
+    TOL_SUM of the coefficient scale; the summand keeps both residuals and
+    the gap |W(a) - W(b)|.  Every summand is built here.
+    """
+    r_factor = _max_coeff(inst.P - compose(A_tilde, W))
+    r_solution = _max_coeff(Q - compose(Q_tilde, W))
+    bound = TOL_SUM * max(inst.P.coeff_scale(), Q.coeff_scale(), 1.0)
+    if r_factor > bound or r_solution > bound:
+        raise ResidualNonzero(
+            f"summand residuals {r_factor:.3g}, {r_solution:.3g} exceed {bound:.3g}"
+        )
+    gap = abs(W(inst.a) - W(inst.b))
+    return ReducibleSummand(Q, W, A_tilde, Q_tilde, gap, r_factor, r_solution)
+
+
+def _plus_constant(inst: ProblemInstance, s: ReducibleSummand, c: complex) -> ReducibleSummand:
+    """s with the constant c added to Q and Q_tilde, checked again."""
+    return summand(inst, s.Q + c, s.W, s.A_tilde, s.Q_tilde + c)
 
 
 def decompose_solution(
@@ -304,10 +321,10 @@ def decompose_solution(
     admissible f in decreasing order; each extracted part descends to
     S_f = R_f(B_f).  Parts whose factor identifies the endpoints are emitted;
     the others are decomposed recursively through the outer polynomial and
-    pulled back.  The summands add up to Q - Q(a) coefficientwise.
+    pulled back by composing with B_f.  The summands add up to Q - Q(a)
+    coefficientwise.
     """
-    P, a, b = inst.P, inst.a, inst.b
-    n = inst.n
+    a, b, n = inst.a, inst.b, inst.n
     report = inst.verify(Q, I=I, N=N)
     if not report.verdict:
         raise NotASolution(f"vanishing checks failed: {report.to_json()}")
@@ -327,28 +344,21 @@ def decompose_solution(
         R = decompose_outer(Qn, B1, inst.tol)
         if R is None:
             raise ResidualNonzero("series supported on nZ but Q is not R(P)")
-        gap = abs(B1(a) - B1(b))
-        if gap > tol_pt:
+        if abs(B1(a) - B1(b)) > tol_pt:
             raise NotASolution("Q = R(P) with P(a) != P(b) forces R = 0")
-        return [_emit(P, Qn, A1, B1, R, gap, TOL_SUM)]
+        return [summand(inst, Qn, B1, A1, R)]
 
     pieces = []
     residual = series
     for f in sorted(inst.D.divisors, reverse=True):
         if f == n:
             continue
-        step = n // f
         live = residual.support(inst.tol.support, ref_scale=ref)
-        if not any(k % step == 0 for k in live):
+        if not any(k % (n // f) == 0 for k in live):
             continue
         psi = extract_psi(residual, f)
         S_f = recover_polynomial(psi, w, inst.tol)
-        residual = type(residual)(
-            n=residual.n,
-            kmin=residual.kmin,
-            vals=residual.vals - psi.vals,
-            trunc=residual.trunc,
-        )
+        residual = replace(residual, vals=residual.vals - psi.vals)
         A_f, B_f = right_factor_for(inst, f)
         R_f = decompose_outer(S_f, B_f, inst.tol)
         if R_f is None:
@@ -363,64 +373,28 @@ def decompose_solution(
     summands: list[ReducibleSummand] = []
     stray_constant = 0j
     for f, S, A, B, R in pieces:
-        gap = abs(B(a) - B(b))
-        if gap <= tol_pt:
-            summands.append(_emit(P, S, A, B, R, gap, TOL_SUM))
+        if abs(B(a) - B(b)) <= tol_pt:
+            summands.append(summand(inst, S, B, A, R))
             continue
         if f < 2:
             raise NotASolution("part through P itself but P(a) != P(b)")
-        sub = quotient_instance(A, B, inst)
-        subs = decompose_solution(sub, R, I=I)
-        dropped = R(B(a))
-        pulled = []
-        for e in subs:
-            W_e = compose(e.W, B)
-            alpha = W_e.leading
-            beta = W_e.coeffs[0] if W_e.coeffs else 0.0
-            W_can = ComplexPoly(
-                [0.0] + [c / alpha for c in W_e.coeffs[1:]]
-            )
-            mu = ComplexPoly([beta, alpha])
-            pulled.append(
-                _emit(
-                    P,
-                    compose(e.Q, B),
-                    compose(e.A_tilde, mu),
-                    W_can,
-                    compose(e.Q_tilde, mu),
-                    abs(W_can(a) - W_can(b)),
-                    TOL_SUM,
-                )
-            )
+        # R = sum of e.Q + R(B(a)) over the sub-instance's summands e, and
+        # P = e.A_tilde(e.W(B)): each pulls back by composing with B
+        pulled = [
+            summand(inst, compose(e.Q, B), compose(e.W, B), e.A_tilde, e.Q_tilde)
+            for e in decompose_solution(quotient_instance(A, B, inst), R, I=I)
+        ]
         if pulled:
-            first = pulled[0]
-            pulled[0] = ReducibleSummand(
-                Q=first.Q + ComplexPoly([dropped]),
-                W=first.W,
-                A_tilde=first.A_tilde,
-                Q_tilde=first.Q_tilde + ComplexPoly([dropped]),
-                gap=first.gap,
-            )
-            _check_summand(pulled[0], P, TOL_SUM)
+            pulled[0] = _plus_constant(inst, pulled[0], R(B(a)))
             summands.extend(pulled)
         else:
-            stray_constant += dropped
+            stray_constant += R(B(a))
     if abs(stray_constant) > TOL_SUM * (1 + qscale):
         if not summands:
             raise ResidualNonzero("constant part cannot be attached to any factor")
-        first = summands[0]
-        summands[0] = ReducibleSummand(
-            Q=first.Q + ComplexPoly([stray_constant]),
-            W=first.W,
-            A_tilde=first.A_tilde,
-            Q_tilde=first.Q_tilde + ComplexPoly([stray_constant]),
-            gap=first.gap,
-        )
+        summands[0] = _plus_constant(inst, summands[0], stray_constant)
 
-    total = ComplexPoly()
-    for s in summands:
-        total = total + s.Q
-    resid = max((abs(c) for c in (total - Qn).coeffs), default=0.0)
+    resid = _max_coeff(sum((s.Q for s in summands), ComplexPoly()) - Qn)
     if resid > TOL_SUM * (1 + qscale):
         raise ResidualNonzero(f"summand total misses Q by {resid:.3g}")
     return summands

@@ -409,6 +409,37 @@ def test_quotient_summands_match_rebuild(name, monkeypatch):
             assert max(abs(u - v) for u, v in zip(x.coeffs, y.coeffs)) <= 1e-13 * scale
 
 
+# SHA-256 of json.dumps([s.to_json() for s in summands], sort_keys=True), as
+# the solver gave them when it still renormalized each pulled-back factor
+# through W -> (W - beta) / alpha, an exact no-op on monic W with W(0) = 0
+RECURSIVE_DIGESTS = {
+    "T8q4": "2419dad86e3552e2eceaa218050c3540197724969e869601a43da20718bd2c92",
+    "z8q4": "40df1fc83c9f719afb58110613aae65177dad9d16e90765dd4ee05aea2ede6c5",
+    "T12q6": "14f4a801e51132cbb039ffacd81f573bd5bab3448b71080a0496eb1b703841d7",
+    "T16q8": "7bd1fc893db8681f03a1fdeafb249b4d735e73facec03b8407adc0485bed2e7b",
+    "z12q6": "8874ac4308fb3b54113feedd8ee3d569b7397f69169d8fb2081af31b331f3604",
+    "z24q12": "be60a4bac28ef775d044ac788b29f1d305ab9af0fab5f981b56a5429f05c7442",
+    "T18q9": "b129a2ac1da85a5fe930dae8f7e0b6cd8bfc6f3299d4fff1c5a72dd1b3c71594",
+    "z16q8": "952f38c57607ce0340a4d88bb7b07e49af682891bb92e270961efda174dc79bb",
+    "z20q5": "57a13e86b2c82fd67ba89447e8222c981bf47aa56940c379f95461a35290cbba",
+}
+
+
+@pytest.mark.parametrize("name", RECURSIVE + ["T18q9", "z16q8", "z20q5"])
+def test_recursive_summands_keep_their_checked_residuals(name):
+    # the pull-back composes with B and nothing else, and every summand, the
+    # one that takes a dropped constant included, carries the residuals of
+    # the check it passed last
+    inst, Q = _recursive_case(name)
+    summands = decompose_solution(inst, Q)
+    text = json.dumps([s.to_json() for s in summands], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RECURSIVE_DIGESTS[name]
+    for s in summands:
+        r_factor = max((abs(c) for c in (inst.P - compose(s.A_tilde, s.W)).coeffs), default=0.0)
+        r_solution = max((abs(c) for c in (s.Q - compose(s.Q_tilde, s.W)).coeffs), default=0.0)
+        assert (s.r_factor, s.r_solution) == (r_factor, r_solution)
+
+
 def test_sub_instance_tracks_nothing(monkeypatch):
     inst, Q = _recursive_case("T8q4")
 
