@@ -34,6 +34,7 @@ from .permgroup import lattice_to_json, perm_to_json
 from .poly import ComplexPoly, Tolerances, chebyshev, compose, poly_from_json, poly_to_json
 from .rational import vector_to_json
 from .solver import (
+    GENERATE_ATTEMPTS,
     build_instance,
     decompose_solution,
     double_decompositions,
@@ -167,9 +168,9 @@ def run_decompose(job: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
 
 
 def run_generate(job: dict, opts: dict, tol: Tolerances) -> tuple[dict, int]:
-    # random_reducible_problem seeds numpy with seed * 1009 + attempt, attempt < 25
-    if opts["seed"] * 1009 + 24 >= SEED_LIMIT:
-        raise MalformedInput(f"generate needs seed * 1009 + 24 < 2**32, got seed {opts['seed']}")
+    last = GENERATE_ATTEMPTS - 1
+    if opts["seed"] * 1009 + last >= SEED_LIMIT:
+        raise MalformedInput(f"generate needs seed * 1009 + {last} < 2**32, got seed {opts['seed']}")
     prob = random_reducible_problem(opts["seed"], tol=tol)
     return {
         "P": poly_to_json(prob.P),

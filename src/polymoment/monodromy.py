@@ -34,7 +34,9 @@ V(a), V(b) (branches converging to a resp. b along the corresponding arc)
 are located by continuation and must match a cycle of the corresponding
 generator; their index sets, embedded as n-th roots of unity, must be
 circularly separated (strictly when P(a) = P(b), allowing one shared point
-otherwise).
+otherwise).  One walk of the incidence graph from V(a) then checks that it
+is a tree and yields the unique path from V(a) to V(b) that the sign
+vectors f_s are read off.
 """
 
 from __future__ import annotations
@@ -96,20 +98,18 @@ class ColoredVertex:
     color: int
     cycle: tuple[int, ...]
 
-    @property
-    def branches(self) -> frozenset[int]:
-        return frozenset(self.cycle)
-
 
 @dataclass(frozen=True)
 class Cactus:
-    """The bipartite incidence structure: n stars vs colored vertices."""
+    """The bipartite incidence structure: n stars vs colored vertices, and
+    the unique path vertex_a, star, vertex, ..., vertex_b through it."""
 
     n: int
     k: int
     vertices: tuple[ColoredVertex, ...]
     vertex_a: ColoredVertex
     vertex_b: ColoredVertex
+    path: tuple[ColoredVertex | int, ...]
 
     @property
     def V_a(self) -> tuple[int, ...]:
@@ -126,16 +126,6 @@ class Cactus:
     @property
     def d_b(self) -> int:
         return len(self.vertex_b.cycle)
-
-    def vertex_at(self, star: int, color: int) -> ColoredVertex:
-        """The unique color-s vertex adjacent to the given star."""
-        for v in self.vertices:
-            if v.color == color and star in v.branches:
-                return v
-        raise KeyError((star, color))
-
-    def star_neighbors(self, star: int) -> list[ColoredVertex]:
-        return [self.vertex_at(star, s) for s in range(1, self.k + 1)]
 
     def edge_count(self) -> int:
         return self.n * self.k
@@ -586,50 +576,41 @@ def cactus_from_generators(
     """Assemble the tree from explicit permutations.
 
     vertex_a / vertex_b are given as (color, branch) pairs naming the cycle
-    of that color's permutation containing the branch.  Validates the tree
-    count (vertices = edges + 1) and connectivity.
+    of that color's permutation containing the branch.  Checks the tree
+    count (vertices = edges + 1), then walks the incidence graph once from
+    vertex_a: the walk proves it connected, hence a tree, and yields the
+    unique path to vertex_b.
     """
     gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
     k = len(gens)
-    vertices = []
-    by_color: list[list[ColoredVertex]] = []
-    for s, g in enumerate(gens, start=1):
-        vs = [ColoredVertex(s, cyc) for cyc in g.cycles()]
-        by_color.append(vs)
-        vertices.extend(vs)
+    vertices = [ColoredVertex(s, cyc) for s, g in enumerate(gens, start=1) for cyc in g.cycles()]
+    # the color-s vertex at star i, for every (s, i)
+    at = {(v.color, i): v for v in vertices for i in v.cycle}
+    ends = []
+    for color, branch in (vertex_a, vertex_b):
+        if (color, branch) not in at:
+            raise VertexMismatch(f"no color-{color} vertex contains branch {branch}")
+        ends.append(at[color, branch])
+    va, vb = ends
 
-    def find_vertex(color: int, branch: int) -> ColoredVertex:
-        for v in by_color[color - 1]:
-            if branch in v.branches:
-                return v
-        raise VertexMismatch(f"no color-{color} vertex contains branch {branch}")
-
-    va = find_vertex(*vertex_a)
-    vb = find_vertex(*vertex_b)
-    cac = Cactus(n=n, k=k, vertices=tuple(vertices), vertex_a=va, vertex_b=vb)
-
-    if cac.vertex_count() != cac.edge_count() + 1:
-        raise TreeViolation(
-            f"{cac.vertex_count()} vertices vs {cac.edge_count()} edges"
-        )
-    seen_stars = {1}
-    seen_verts = set()
-    queue = [("star", 1)]
-    while queue:
-        kind, x = queue.pop()
-        if kind == "star":
-            for v in cac.star_neighbors(x):
-                if v not in seen_verts:
-                    seen_verts.add(v)
-                    queue.append(("vert", v))
-        else:
-            for i in x.cycle:
-                if i not in seen_stars:
-                    seen_stars.add(i)
-                    queue.append(("star", i))
-    if len(seen_stars) != n or len(seen_verts) != len(vertices):
+    if n + len(vertices) != n * k + 1:
+        raise TreeViolation(f"{n + len(vertices)} vertices vs {n * k} edges")
+    # stars are ints and vertices ColoredVertex, so one map holds both kinds
+    parent = {va: None}
+    queue = [va]
+    for x in queue:
+        nbrs = x.cycle if isinstance(x, ColoredVertex) else (at[s, x] for s in range(1, k + 1))
+        for y in nbrs:
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    if len(parent) != n + len(vertices):
         raise TreeViolation("incidence graph is not connected")
-    return cac
+    path = [vb]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return Cactus(n=n, k=k, vertices=tuple(vertices), vertex_a=va, vertex_b=vb,
+                  path=tuple(reversed(path)))
 
 
 def endpoint_colors(md: MonodromyData, Pa: complex, Pb: complex, tol: Tolerances):
@@ -682,35 +663,11 @@ def build_cactus(
 
 
 def tree_path(cactus: Cactus):
-    """Unique simple path vertex_a, star, vertex, ..., vertex_b (BFS)."""
+    """Unique simple path vertex_a, star, vertex, ..., vertex_b, found by the
+    walk that checked the tree in `cactus_from_generators`."""
     if cactus.vertex_a == cactus.vertex_b:
         raise DegeneratePath("endpoints coincide on the tree")
-    start = ("vert", cactus.vertex_a)
-    goal = ("vert", cactus.vertex_b)
-    parent = {start: None}
-    queue = [start]
-    while queue:
-        node = queue.pop(0)
-        if node == goal:
-            break
-        kind, x = node
-        if kind == "vert":
-            nbrs = [("star", i) for i in x.cycle]
-        else:
-            nbrs = [("vert", v) for v in cactus.star_neighbors(x)]
-        for nb in nbrs:
-            if nb not in parent:
-                parent[nb] = node
-                queue.append(nb)
-    if goal not in parent:
-        raise TreeViolation("endpoints are not connected")
-    out = []
-    node = goal
-    while node is not None:
-        out.append(node)
-        node = parent[node]
-    out.reverse()
-    return tuple(x for _, x in out)
+    return cactus.path
 
 
 def f_vectors(cactus: Cactus, path) -> tuple[tuple[int, ...], ...]:

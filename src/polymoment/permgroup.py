@@ -106,13 +106,19 @@ def perm_to_json(g: Permutation) -> list[int]:
     return list(g.images)
 
 
+def _class_map(g: Permutation, d: int) -> set[tuple[int, int]]:
+    """The pairs ((i - 1) mod d, (g(i) - 1) mod d) over i = 1..n: g maps
+    the residue classes mod d to classes exactly when there are d of them."""
+    return {(i % d, (t - 1) % d) for i, t in enumerate(g.images)}
+
+
 def act_on_classes(g: Permutation, d: int) -> Permutation:
     """The permutation g induces on the residue classes mod d (class j holds
     the i = j mod d); BlockMismatch when g splits a class."""
-    pairs = {((i - 1) % d, (g(i) - 1) % d + 1) for i in range(1, g.n + 1)}
+    pairs = _class_map(g, d)
     if len(pairs) != d:
         raise BlockMismatch(f"{g!r} splits a residue class mod {d}")
-    return Permutation([t for _, t in sorted(pairs)])
+    return Permutation([t + 1 for _, t in sorted(pairs)])
 
 
 def divisors_of(n: int) -> list[int]:
@@ -185,27 +191,9 @@ def divisor_lattice(gens, n: int, assume_full_cycle: bool = False) -> DivisorLat
         g.images == full_cycle(n).images for g in gens
     ):
         raise NotFullCycle("(1 2 ... n) not among generators; pass assume_full_cycle")
-    good = []
-    for d in divisors_of(n):
-        if d in (1, n):
-            good.append(d)
-            continue
-        ok = True
-        for g in gens:
-            img_class = [-1] * d
-            for i in range(1, n + 1):
-                r = i % d
-                t = g(i) % d
-                if img_class[r] == -1:
-                    img_class[r] = t
-                elif img_class[r] != t:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            good.append(d)
-    return make_lattice(n, good)
+    return make_lattice(
+        n, [d for d in divisors_of(n) if all(len(_class_map(g, d)) == d for g in gens)]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -249,11 +249,8 @@ def extract_psi(series: PuiseuxSeries, f: int) -> PuiseuxSeries:
     n = series.n
     if f < 1 or n % f != 0 or f == n:
         raise InvalidDivisor(f"f = {f} must properly divide n = {n}")
-    step = n // f
-    vals = series.vals.copy()
-    for j in range(len(vals)):
-        if (series.kmin + j) % step != 0:
-            vals[j] = 0.0
+    k = series.kmin + np.arange(len(series.vals))
+    vals = np.where(k % (n // f) == 0, series.vals, 0.0)
     return PuiseuxSeries(n=n, kmin=series.kmin, vals=vals, trunc=series.trunc)
 
 

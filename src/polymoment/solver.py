@@ -404,6 +404,9 @@ def decompose_solution(
 # random reducible problem generator (tests, CLI `generate`)
 # ---------------------------------------------------------------------------
 
+# draws per seed: attempt t seeds numpy with seed * 1009 + t
+GENERATE_ATTEMPTS = 25
+
 
 @dataclass
 class GeneratedProblem:
@@ -427,23 +430,18 @@ def _random_poly(rng, deg: int, monic_zero: bool = False) -> ComplexPoly:
     return ComplexPoly(cs.tolist())
 
 
-def random_reducible_problem(
-    seed: int,
-    deg_outer=(2, 4),
-    deg_inner=(2, 4),
-    deg_solution=(1, 3),
-    attempts: int = 25,
-    tol: Tolerances = Tolerances(),
-) -> GeneratedProblem:
-    """P = A(B(z)) with random factors, b solved from B(a) = B(b), and a
-    reducible solution Q = T(B(z)).  Retries deterministically on numerically
-    awkward draws (near-collapsed endpoints or tracking failures)."""
+def random_reducible_problem(seed: int, tol: Tolerances = Tolerances()) -> GeneratedProblem:
+    """P = A(B(z)) with random factors of degree 2..4, b solved from
+    B(a) = B(b), and a reducible solution Q = T(B(z)) with deg T in 1..3.
+    Retries deterministically, at most GENERATE_ATTEMPTS times, on
+    numerically awkward draws (near-collapsed endpoints or tracking
+    failures)."""
     from .errors import MomentProblemError
 
-    for attempt in range(attempts):
+    for attempt in range(GENERATE_ATTEMPTS):
         rng = np.random.RandomState(seed * 1009 + attempt)
-        dA = int(rng.randint(deg_outer[0], deg_outer[1] + 1))
-        dB = int(rng.randint(deg_inner[0], deg_inner[1] + 1))
+        dA = int(rng.randint(2, 5))
+        dB = int(rng.randint(2, 5))
         A = _random_poly(rng, dA)
         B = _random_poly(rng, dB, monic_zero=True)
         P = compose(A, B)
@@ -456,7 +454,7 @@ def random_reducible_problem(
         if not cands:
             continue
         b = max(cands, key=lambda z: abs(z - a))
-        dT = int(rng.randint(deg_solution[0], deg_solution[1] + 1))
+        dT = int(rng.randint(1, 4))
         T = _random_poly(rng, dT)
         Q = compose(T, B)
         try:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polymoment import monodromy as mono
-from polymoment.errors import DegenerateInput, TrackingFailure, TreeViolation
+from polymoment.errors import DegenerateInput, TrackingFailure, TreeViolation, VertexMismatch
 from polymoment.monodromy import (
     build_cactus,
     cactus_from_generators,
@@ -280,6 +280,20 @@ def test_tree_violation_detected():
     bad = [from_cycles(3, [(1, 2, 3)]), from_cycles(3, [(1, 2, 3)])]
     with pytest.raises(TreeViolation):
         cactus_from_generators(3, bad, (1, 1), (2, 2))
+
+
+def test_tree_walk_checks_connectivity():
+    # 4 stars + 9 vertices = 12 edges + 1, yet stars 1, 2 and 3, 4 never meet
+    gens = [from_cycles(4, [(1, 2)]), from_cycles(4, [(1, 2)]), from_cycles(4, [(3, 4)])]
+    with pytest.raises(TreeViolation, match="incidence graph is not connected"):
+        cactus_from_generators(4, gens, (1, 1), (3, 3))
+
+
+@pytest.mark.parametrize("vertex_a", [(0, 2), (4, 2)])
+def test_endpoint_color_out_of_range(vertex_a):
+    # color 0 must not wrap around to the last color
+    with pytest.raises(VertexMismatch):
+        cactus_from_generators(8, FIG1_GENS, vertex_a, (3, 4))
 
 
 def test_circular_separation_cases():

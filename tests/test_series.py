@@ -452,6 +452,20 @@ def test_extract_psi_synthetic_support():
     assert none.support(ref_scale=1.0) == []
 
 
+def test_extract_psi_matches_index_loop():
+    # the loop extract_psi replaced: zero every index k != 0 mod n/f, keep the rest
+    s = q_of_inverse(T2 + T3, puiseux_inverse(T6, 36))
+    for f in (1, 2, 3):
+        ref = s.vals.copy()
+        for j in range(len(ref)):
+            if (s.kmin + j) % (6 // f) != 0:
+                ref[j] = 0.0
+        got = extract_psi(s, f)
+        assert got.vals.dtype == ref.dtype
+        assert got.vals.tobytes() == ref.tobytes()
+        assert (got.kmin, got.trunc) == (s.kmin, s.trunc)
+
+
 def test_vanishing_verdict_loop():
     # the moment view, the H-coefficient view and the branch-relation view
     # must agree on both a solution and a non-solution
