@@ -327,7 +327,15 @@ def main(argv=None) -> int:
         except OSError as exc:
             return _malformed(exc)
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError as exc:
+            # the reader closed stdout: send the flush at shutdown to devnull
+            # and report like an --output that cannot be written
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return _malformed(exc)
     return code
 
 

@@ -8,11 +8,16 @@ the f covered by d), where V_d is the space of d-periodic vectors.
 
 The algebra responsible for this is the centralizer ring of the permutation
 matrix representation: every matrix in it is a circulant, hence the whole
-computation lives in the cyclic group algebra (circulant first row <->
-exponent-coefficient vector, matrix product <-> cyclic convolution).  The
-basic sets of the corresponding subalgebra are the orbits of the stabilizer
-of 1, and the divisor set is self-dual: d is admissible for G iff n/d is
-admissible on the algebra side.
+computation lives in the cyclic group algebra Q[x]/(x^n - 1) (circulant
+first row <-> exponent-coefficient vector, matrix product <-> cyclic
+convolution).  The basic sets of the corresponding subalgebra are the
+orbits of the stabilizer of 1, and the divisor set is self-dual: d is
+admissible for G iff n/d is admissible on the algebra side.
+
+An invariant subspace is an ideal of Q[x]/(x^n - 1), generated by a product
+of cyclotomic polynomials Phi_m, m | n; an instance's S and M are computed
+that way, in integers.  The projectors onto the U_d are kept as the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -367,6 +372,77 @@ def piece_of(lattice: DivisorLattice, k: int) -> int:
 def u_dimension(lattice: DivisorLattice, d: int) -> int:
     """dim U_d: the number of frequencies k in Z_n whose piece is U_d."""
     return sum(piece_of(lattice, k) == d for k in range(lattice.n))
+
+
+# ---------------------------------------------------------------------------
+# invariant subspaces as ideals of Q[x]/(x^n - 1)
+# ---------------------------------------------------------------------------
+
+
+def _divmod_monic(num, den) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (constant term first)
+    by a monic den."""
+    rem, k = list(num), len(den) - 1
+    quo = [0] * max(len(rem) - k, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        c = quo[i] = rem[i + k]
+        if c:
+            for j, dj in enumerate(den):
+                rem[i + j] -= c * dj
+    return quo, rem[:k]
+
+
+def cyclotomic_polys(n: int) -> dict[int, list[int]]:
+    """Integer coefficients of Phi_m, constant term first, for every m | n:
+    x^m - 1 divided by the Phi_e of its proper divisors e."""
+    out: dict[int, list[int]] = {}
+    for m in divisors_of(n):
+        phi = [-1] + [0] * (m - 1) + [1]
+        for e, phi_e in out.items():
+            if m % e == 0:
+                phi = _divmod_monic(phi, phi_e)[0]
+        out[m] = phi
+    return out
+
+
+def invariant_pieces(lattice: DivisorLattice, vectors) -> tuple[frozenset[int], tuple]:
+    """S, the d whose projector pi_d keeps some vector nonzero, and the RREF
+    basis of the sum of the U_d over S.
+
+    As a polynomial v(x) = sum v_i x^i, a vector has a component at the
+    frequencies of order m, which lie in the piece of frequency n/m, iff
+    Phi_m does not divide it.  The sum over S is the ideal of Q[x]/(x^n - 1)
+    generated by g, the product of the Phi_m whose piece is not in S, i.e.
+    x^n - 1 divided by the others.  Its rows x^j g(x), j < r = n - deg g,
+    have their first entries g(0) = +-1 on the diagonal, so the RREF is one
+    integer back-substitution that clears columns 0..r-1.  The entries are
+    returned as Fractions.
+    """
+    n = lattice.n
+    phis = cyclotomic_polys(n)
+    piece = {m: piece_of(lattice, n // m) for m in phis}
+    S = frozenset(
+        piece[m] for m, phi in phis.items() if any(any(_divmod_monic(v, phi)[1]) for v in vectors)
+    )
+    g = [-1] + [0] * (n - 1) + [1]
+    for m, phi in phis.items():
+        if piece[m] in S:
+            g = _divmod_monic(g, phi)[0]
+    r, s = n - len(g) + 1, g[0]
+    rows = [[0] * j + [s * c for c in g] + [0] * (r - 1 - j) for j in range(r)]
+    for i in range(r - 2, -1, -1):
+        row = rows[i]
+        for j in range(i + 1, r):
+            c = row[j]
+            if c:
+                # rows[j] is reduced: of columns 0..r-1 it holds only its pivot
+                row[j] = 0
+                for k, x in enumerate(rows[j][r:], start=r):
+                    row[k] -= c * x
+    # one Fraction per distinct entry: building one per entry costs more
+    # than all of the arithmetic above
+    frac = {x: Fraction(x) for x in set().union(*rows)}
+    return S, tuple(tuple(map(frac.__getitem__, row)) for row in rows)
 
 
 # ---------------------------------------------------------------------------

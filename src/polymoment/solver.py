@@ -5,9 +5,9 @@ yields integer sign vectors, whose closure under the coordinate action of
 the monodromy generators is the invariant subspace M of Q^n attached to the
 problem.  The monodromy group contains the full cycle, so every invariant
 subspace is a direct sum of the canonical irreducible pieces U_d, d in the
-divisor lattice D, and M is fixed by the set S of d whose projector pi_d
-does not kill every sign vector: M = sum over S of U_d, built exactly from
-the projector rows without iterating the group action.  Each admissible d
+divisor lattice D, and M is fixed by the set S of d whose piece some sign
+vector reaches: M = sum over S of U_d, built exactly from the cyclotomic
+factors of x^n - 1 without iterating the group action.  Each admissible d
 carries a right factor B_d of degree n/d of P, constant on the residue
 classes mod d at the level of inverse branches.
 
@@ -49,16 +49,9 @@ from .monodromy import (
     Cactus, MonodromyData, build_cactus, cactus_from_vertices, check_relations,
     endpoint_colors, f_vectors, monodromy, tree_path,
 )
-from .permgroup import (
-    DivisorLattice,
-    act_on_classes,
-    circulant_from_row,
-    cyclic_convolve,
-    divisor_lattice,
-    minimal_projector_rows,
-)
+from .permgroup import DivisorLattice, act_on_classes, divisor_lattice, invariant_pieces
 from .poly import ComplexPoly, Tolerances, compose, decompose_outer, decompose_right, roots
-from .rational import RationalSubspace, span
+from .rational import RationalSubspace
 from .series import (
     MomentReport, VerifierData, check_counts, extract_psi, recover_polynomial, verify_vanishing,
 )
@@ -149,19 +142,14 @@ def instance_from_tree(
     fv = f_vectors(cactus, tree_path(cactus))
     n = P.degree
     D = divisor_lattice(list(md.generators) + [md.g_inf], n)
-    rows = minimal_projector_rows(D)
-    S = frozenset(
-        d for d in D.divisors if any(any(cyclic_convolve(rows[d], v)) for v in fv)
-    )
+    S, basis = invariant_pieces(D, fv)
     # the subspace always contains the top irreducible piece; a violation
     # here means the numerics produced an inconsistent instance
     if n not in S:
         raise DecompositionMismatch("invariant subspace misses the top piece U_n")
-    # M = sum of U_d over S, spanned by the shifts of the summed projector
-    rho = tuple(map(sum, zip(*(rows[d] for d in S))))
     return ProblemInstance(
         P=P, a=a, b=b, md=md, cactus=cactus, fv=fv, D=D, S=S,
-        M=span(circulant_from_row(rho), n), tol=tol,
+        M=RationalSubspace(n, basis), tol=tol,
     )
 
 

@@ -227,6 +227,30 @@ def test_console_entry_point(tmp_path):
     assert rep["report"]["D"] == [1, 2, 3, 6]
 
 
+def test_closed_stdout_reported_as_json(tmp_path):
+    # the reader of stdout is gone before the report is printed
+    inp = tmp_path / "job.json"
+    inp.write_text(json.dumps({"command": "generate"}))
+    src = str(Path(polymoment.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "polymoment.cli", "--input", str(inp)],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 64
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    line, = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == "MalformedInput"
+
+
 def test_stable_output_bytes(tmp_path):
     _, rep1 = run_cli(tmp_path, t6_job("analyze", with_q=False))
     _, rep2 = run_cli(tmp_path, t6_job("analyze", with_q=False))

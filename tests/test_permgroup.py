@@ -1,18 +1,25 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymoment.errors import InvalidDivisor, NotClosed, NotFullCycle, NotTransitive
 from polymoment.permgroup import (
     DivisorLattice,
     Permutation,
     SchurBasis,
+    circulant_from_row,
     cyclic_convolve,
+    cyclotomic_polys,
     divisor_lattice,
+    divisors_of,
     from_cycles,
     full_cycle,
     full_divisor_lattice,
     identity,
+    invariant_pieces,
     inverse_set_index,
     make_lattice,
     minimal_projector_rows,
@@ -23,6 +30,7 @@ from polymoment.permgroup import (
     stabilizer_orbits,
     u_dimension,
 )
+from polymoment.rational import span
 
 # stars of the degree-6 Chebyshev tree: two involutions whose product with
 # the 6-cycle closes; the group is dihedral of order 12
@@ -342,3 +350,50 @@ def test_stabilizer_orbits_nonstandard_point():
 def test_schur_basis_rejects_overlap():
     with pytest.raises(NotClosed):
         SchurBasis(3, (frozenset({0}), frozenset({1, 2}), frozenset({2})))
+
+
+# ---------------------------------------------------------------------------
+# S and M from the cyclotomic factors of x^n - 1
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def lattices_and_sign_vectors(draw):
+    """A random gcd/lcm-closed divisor set of n <= 48 holding 1 and n, and up
+    to four vectors in {-1, 0, 1}^n."""
+    n = draw(st.integers(1, 48))
+    ds = {1, n} | set(draw(st.lists(st.sampled_from(divisors_of(n)), max_size=6)))
+    while True:
+        closed = ds | {f(a, b) for a in ds for b in ds for f in (math.gcd, math.lcm)}
+        if closed == ds:
+            break
+        ds = closed
+    vectors = draw(st.lists(st.tuples(*[st.sampled_from((-1, 0, 1))] * n), max_size=4))
+    return make_lattice(n, ds), vectors
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices_and_sign_vectors())
+def test_cyclotomic_pieces_match_projectors(case):
+    # oracle: S by projecting each vector on every U_d, and M as the RREF
+    # span of the shifts of the summed projector row
+    lat, vectors = case
+    n = lat.n
+    rows = minimal_projector_rows(lat)
+    S = frozenset(
+        d for d in lat.divisors if any(any(cyclic_convolve(rows[d], v)) for v in vectors)
+    )
+    rho = [sum(col, Fraction(0)) for col in zip(*(rows[d] for d in S))] or [Fraction(0)] * n
+    assert invariant_pieces(lat, vectors) == (S, span(circulant_from_row(rho), n).basis)
+
+
+def test_cyclotomic_polys_multiply_to_x_m_minus_1():
+    for m in range(1, 97):
+        prod = [1]
+        for phi in cyclotomic_polys(m).values():
+            out = [0] * (len(prod) + len(phi) - 1)
+            for i, a in enumerate(prod):
+                for j, b in enumerate(phi):
+                    out[i + j] += a * b
+            prod = out
+        assert prod == [-1] + [0] * (m - 1) + [1], m

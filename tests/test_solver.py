@@ -8,6 +8,7 @@ import math
 import pytest
 
 from polymoment import monodromy as monodromy_module
+from polymoment import rational as rational_module
 from polymoment import series, solver
 from polymoment.errors import BlockMismatch, InvalidDivisor, MalformedInput, NotASolution
 from polymoment.monodromy import cactus_from_generators, f_vectors, tree_path
@@ -542,6 +543,24 @@ def test_instance_construction_computes_no_verifier_data(monkeypatch):
     for f, A, B in _missing_factors(inst):
         quotient_instance(A, B, inst)
     assert "verifier" not in vars(inst)
+
+
+def test_instance_construction_runs_no_rational_rref(monkeypatch):
+    # S and M come from integer cyclotomic arithmetic, so building an
+    # instance or a sub-instance never reduces Fraction rows
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an instance was built through a Fraction RREF")
+
+    monkeypatch.setattr(rational_module, "_rref", forbidden)
+    assert build_instance(T6, -SQ3 / 2, SQ3 / 2).M.dim == 2
+    _, S, dim, sha = GOLDEN_M["T24"]
+    inst = build_instance(*_golden_case("T24"))
+    basis = json.dumps([vector_to_json(row) for row in inst.M.basis])
+    assert (sorted(inst.S), inst.M.dim) == (S, dim)
+    assert hashlib.sha256(basis.encode()).hexdigest() == sha
+    inst, _ = _recursive_case("T8q4")
+    (f, A, B), = _missing_factors(inst)
+    assert quotient_instance(A, B, inst).M.dim > 0
 
 
 def test_cached_arrays_read_only(inst_t6):
