@@ -10,7 +10,8 @@ them).
 
 Each job builds one `Tolerances` from the --tol-<field> flags and the job's
 "tol-<field>" options (a flag wins) and hands it to its command; the report
-echoes it under options.tolerances.  Numeric flags and options that do not
+echoes it under options.tolerances.  An "options" key other than moments,
+truncation, seed and tol-<field>, numeric flags and options that do not
 convert, a count that is a boolean or has a fractional part, a negative
 count, a seed numpy cannot take, a truncation shorter than the expansion of
 Q(P^-1) needs (N < deg P + deg Q - 1), a tolerance that is negative or not
@@ -247,6 +248,9 @@ def run_job(job: dict, args) -> tuple[dict, int]:
     job_opts = job.get("options", {})
     if not isinstance(job_opts, dict):
         raise MalformedInput("options must be an object")
+    known = {"moments", "truncation", "seed", *(f"tol-{f.name}" for f in fields(Tolerances))}
+    if unknown := [key for key in job_opts if key not in known]:
+        raise MalformedInput(f"unknown option {unknown[0]!r}")
     opts = {
         "moments": _count(job_opts.get("moments", args.moments), "moments"),
         "truncation": job_opts.get("truncation", args.truncation),

@@ -28,15 +28,15 @@ permutations compose left-to-right, loops around finite values run
 counterclockwise and are ordered counterclockwise by angle at c, the
 infinity loop is the clockwise big circle, so g_1 g_2 ... g_k g_inf = id.
 
-Endpoints a, b enter as vertices of the tree: their values P(a), P(b) are
-appended to the critical values when not already present.  The branch sets
-V(a), V(b) (branches converging to a resp. b along the corresponding arc)
-are located by continuation and must match a cycle of the corresponding
-generator; their index sets, embedded as n-th roots of unity, must be
-circularly separated (strictly when P(a) = P(b), allowing one shared point
-otherwise).  One walk of the incidence graph from V(a) then checks that it
-is a tree and yields the unique path from V(a) to V(b) that the sign
-vectors f_s are read off.
+Endpoints a, b enter as vertices of the tree: P(a), P(b) are appended to the
+values when not already present, and `ends` records each endpoint's color
+and multiplicity once.  The branch sets V(a), V(b) (branches converging to a
+resp. b along the corresponding arc) are located by continuation and must
+match a cycle of the corresponding generator; embedded as n-th roots of
+unity, they must be circularly separated (strictly when a and b share a
+color, i.e. P(a) = P(b), allowing one shared point otherwise).  One walk of
+the incidence graph from V(a) then checks that it is a tree and yields the
+unique path from V(a) to V(b) that the sign vectors f_s are read off.
 """
 
 from __future__ import annotations
@@ -72,9 +72,8 @@ class MonodromyData:
     Branch numbering is normalized so g_inf = (1 2 ... n); `fiber` holds the
     branch values above `base_point` in that numbering (branch i at
     fiber[i-1]).  The numbering is canonical up to the choice of branch 1.
-    `critical_points` holds, per value, its critical points as (zeta, e)
-    clusters, e - 1 roots of P' at zeta; monodromy induced on a right
-    factor's blocks carries none.
+    `ends` holds the vertex of a and of b as (color, multiplicity); monodromy
+    induced on a right factor's blocks carries none.
     """
 
     n: int
@@ -84,7 +83,7 @@ class MonodromyData:
     generators: tuple[Permutation, ...]
     g_inf: Permutation
     fiber: tuple[complex, ...]
-    critical_points: tuple[tuple[tuple[complex, int], ...], ...] = ()
+    ends: tuple[tuple[int, int], ...] = ()
 
     @property
     def k(self) -> int:
@@ -488,6 +487,11 @@ def monodromy(
     g_inf = r * g_inf * r.inverse()
     assert g_inf.images == full_cycle(n).images
     new_fiber = [complex(fiber[i - 1]) for i in old_of_new]
+    # endpoint z: color of the value nearest P(z), 1 + the roots of P' clustered at z
+    pts = [p for over in points for p in over]
+    radius = tol.cluster * (1.0 + max(abs(zeta) for zeta, _ in pts))
+    ends = tuple((int(np.argmin(np.abs(np.array(values) - P(z)))) + 1,
+                  next((e for zeta, e in pts if abs(zeta - z) <= radius), 1)) for z in (a, b))
     return MonodromyData(
         n=n,
         base_point=c,
@@ -496,22 +500,13 @@ def monodromy(
         generators=tuple(gens),
         g_inf=g_inf,
         fiber=tuple(new_fiber),
-        critical_points=tuple(points),
+        ends=ends,
     )
 
 
 # ---------------------------------------------------------------------------
 # the tree
 # ---------------------------------------------------------------------------
-
-
-def multiplicity_at(md: MonodromyData, z: complex, tol: Tolerances = Tolerances()) -> int:
-    """Order of vanishing of P - P(z) at z: 1 + the roots of P' clustered at
-    z, read from the critical points of `md` at the radius `critical_data`
-    clusters them with."""
-    pts = [p for over in md.critical_points for p in over]
-    radius = tol.cluster * (1.0 + max((abs(zeta) for zeta, _ in pts), default=0.0))
-    return next((e for zeta, e in pts if abs(zeta - z) <= radius), 1)
 
 
 def _locate_branches(
@@ -613,25 +608,12 @@ def cactus_from_generators(
                   path=tuple(reversed(path)))
 
 
-def endpoint_colors(md: MonodromyData, Pa: complex, Pb: complex, tol: Tolerances):
-    """The colors s_a, s_b of the endpoint values P(a), P(b), and whether the
-    two values coincide.  Raises VertexMismatch for a value that is no color."""
-    radius = tol.cluster * (1.0 + max(abs(v) for v in md.critical_values)) * 10
-    colors = []
-    for w in (Pa, Pb):
-        ds = np.abs(np.array(md.critical_values) - w)
-        if ds.min() > radius:
-            raise VertexMismatch(f"value {w:.6g} is not a vertex color")
-        colors.append(int(np.argmin(ds)) + 1)
-    return *colors, abs(Pa - Pb) <= radius
-
-
-def cactus_from_vertices(md: MonodromyData, s_a: int, Va, s_b: int, Vb, same_value: bool) -> Cactus:
+def cactus_from_vertices(md: MonodromyData, s_a: int, Va, s_b: int, Vb) -> Cactus:
     """The tree with a, b on the color-s_a vertex with branch set Va and the
     color-s_b vertex with branch set Vb.  Each set must be a cycle of its
     color's permutation, the two vertices must differ (else DegeneratePath),
     and the sets must be circularly separated: disjointed when P(a) = P(b),
-    at worst almost otherwise."""
+    that is s_a = s_b, at worst almost otherwise."""
     for s, V, label in ((s_a, Va, "a"), (s_b, Vb, "b")):
         if V not in {frozenset(cyc) for cyc in md.generators[s - 1].cycles()}:
             raise VertexMismatch(f"V({label}) = {sorted(V)} is not a cycle of color {s}")
@@ -639,9 +621,9 @@ def cactus_from_vertices(md: MonodromyData, s_a: int, Va, s_b: int, Vb, same_val
         raise DegeneratePath("a and b landed on the same vertex")
 
     sep = circular_separation(Va, Vb, md.n)
-    if same_value and sep != "disjointed":
+    if s_a == s_b and sep != "disjointed":
         raise VertexMismatch(f"V(a), V(b) must be disjointed, got {sep}")
-    if not same_value and sep == "entangled":
+    if sep == "entangled":
         raise VertexMismatch("V(a), V(b) are entangled on the circle")
     return cactus_from_generators(md.n, md.generators, (s_a, min(Va)), (s_b, min(Vb)))
 
@@ -651,15 +633,15 @@ def build_cactus(
 ) -> Cactus:
     """Locate a and b on the tree and assemble it.
 
-    V(a) is found by continuing the fiber along the arc toward P(a)'s vertex
-    color and picking the branches that converge to a; their count is the
-    multiplicity of a, 1 + the roots of P' clustered at a.
-    `cactus_from_vertices` checks the sets on every build.
+    V(a) is found by continuing the fiber along the arc toward the color of
+    a in `md.ends` and picking the branches that converge to a, as many as
+    its multiplicity there.  `cactus_from_vertices` checks the sets on every
+    build.
     """
-    s_a, s_b, same_value = endpoint_colors(md, P(a), P(b), tol)
-    Va = _locate_branches(P, md, a, s_a, multiplicity_at(md, a, tol), tol)
-    Vb = _locate_branches(P, md, b, s_b, multiplicity_at(md, b, tol), tol)
-    return cactus_from_vertices(md, s_a, Va, s_b, Vb, same_value)
+    (s_a, m_a), (s_b, m_b) = md.ends
+    Va = _locate_branches(P, md, a, s_a, m_a, tol)
+    Vb = _locate_branches(P, md, b, s_b, m_b, tol)
+    return cactus_from_vertices(md, s_a, Va, s_b, Vb)
 
 
 def tree_path(cactus: Cactus):

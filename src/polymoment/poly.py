@@ -37,7 +37,8 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The thresholds of the numerical checks; the CLI sets each by --tol-<field>."""
+    """The thresholds of the numerical checks; the CLI sets each by --tol-<field>.
+    `roots` iterates to min(root, 1e-12), so `root` only tightens it below 1e-12."""
 
     root: float = 1e-10
     cluster: float = 1e-8

@@ -21,9 +21,10 @@ with B_f.  Every right factor is monic with W(0) = 0, so the composite is
 too, and A_tilde, Q_tilde carry over as they are.  Each summand is built by
 `summand`, which checks P = A_tilde(W) and Q = Q_tilde(W) and keeps both
 residuals; attaching a constant builds, and so checks, it again.  The
-sub-instance reads A_f's monodromy off P's, tracking nothing: B_f is constant
-on the residue classes mod f, which P's loop permutations permute as A_f's.
-The recursion strictly decreases the degree, so it terminates.
+sub-instance reads A_f's monodromy and endpoint vertices off P's tree (only
+its verifier tracks, along the 8-point sample ray): B_f is constant on the
+residue classes mod f, which P's loop permutations permute as A_f's.  The
+recursion strictly decreases the degree, so it terminates.
 
 An instance keeps what its queries share, each computed on first use: the
 verifier's Q-independent half (`series.VerifierData`, keyed by N where it
@@ -46,8 +47,8 @@ from .errors import (
     ResidualNonzero,
 )
 from .monodromy import (
-    Cactus, MonodromyData, build_cactus, cactus_from_vertices, check_relations,
-    endpoint_colors, f_vectors, monodromy, tree_path,
+    Cactus, MonodromyData, build_cactus, cactus_from_vertices, check_relations, f_vectors,
+    monodromy, tree_path,
 )
 from .permgroup import DivisorLattice, act_on_classes, divisor_lattice, invariant_pieces
 from .poly import ComplexPoly, Tolerances, compose, decompose_outer, decompose_right, roots
@@ -159,9 +160,10 @@ def quotient_instance(A: ComplexPoly, B: ComplexPoly, inst: ProblemInstance) -> 
     B is constant on the residue classes of branch indices mod f = deg A, so
     class j is branch j of A, at B(fiber[j - 1]): P's loop permutations act
     on the classes as A's do, for the same basepoint and loops.  Colors that
-    act trivially are dropped, except those of P(a) and P(b), which stay as
-    supplemented values; V(a), V(b) are the classes of P's.  The induced data
-    pass the same checks as tracked data.
+    act trivially are dropped, except those of a and b, kept as supplemented
+    values: A(B(a)) = P(a), so a and b keep their colors, and V(a), V(b) are
+    the classes of P's.  The induced data pass the same checks as tracked
+    data.
     """
     md, cac, f = inst.md, inst.cactus, A.degree
     induced = [act_on_classes(g, f) for g in md.generators]
@@ -175,11 +177,10 @@ def quotient_instance(A: ComplexPoly, B: ComplexPoly, inst: ProblemInstance) -> 
         supplemented=tuple(g.is_identity() for g in gens),
         fiber=tuple(complex(B(w)) for w in md.fiber[:f]),
     )
-    a, b = B(inst.a), B(inst.b)
-    s_a, s_b, same_value = endpoint_colors(sub, A(a), A(b), inst.tol)
+    s_a, s_b = (keep.index(s) + 1 for s in ends)
     Va, Vb = (frozenset((i - 1) % f + 1 for i in V) for V in (cac.V_a, cac.V_b))
-    cactus = cactus_from_vertices(sub, s_a, Va, s_b, Vb, same_value)
-    return instance_from_tree(A, a, b, sub, cactus, inst.tol)
+    cactus = cactus_from_vertices(sub, s_a, Va, s_b, Vb)
+    return instance_from_tree(A, B(inst.a), B(inst.b), sub, cactus, inst.tol)
 
 
 def right_factor_for(inst: ProblemInstance, d: int):
@@ -250,24 +251,16 @@ def exists_nonzero_solution(inst: ProblemInstance) -> bool:
 
 
 def double_decompositions(inst: ProblemInstance):
-    """Unordered pairs of incomparable right factors (neither a polynomial in
-    the other); a prerequisite for non-reducible solutions to exist."""
+    """Unordered pairs of incomparable right factors, read off the lattice:
+    B_x is a polynomial in B_y exactly when x divides y.  A prerequisite for
+    non-reducible solutions to exist."""
     mids = [d for d in inst.D.divisors if d not in (1, inst.n)]
     factors = {d: right_factor_for(inst, d) for d in mids}
-    pairs = []
-    for x in range(len(mids)):
-        for y in range(x + 1, len(mids)):
-            dx, dy = mids[x], mids[y]
-            Ax, Bx = factors[dx]
-            Ay, By = factors[dy]
-            big, small = (Bx, By) if Bx.degree >= By.degree else (By, Bx)
-            nested = (
-                big.degree % small.degree == 0
-                and decompose_outer(big, small, inst.tol) is not None
-            )
-            if not nested:
-                pairs.append(((Ax, Bx), (Ay, By)))
-    return pairs
+    return [
+        (factors[dx], factors[dy])
+        for x, dx in enumerate(mids) for dy in mids[x + 1:]
+        if dx % dy and dy % dx
+    ]
 
 
 def _max_coeff(p: ComplexPoly) -> float:

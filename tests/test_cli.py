@@ -152,6 +152,15 @@ def test_integral_counts_accepted(tmp_path):
     assert code == 0 and (rep["options"]["moments"], rep["options"]["seed"]) == (3, 2)
 
 
+def test_unknown_option_malformed(tmp_path, capsys):
+    # a misspelt key used to be dropped, and the job ran with the defaults
+    job = {**t6_job("verify"), "options": {"tol-momnet": 1e-30, "moment": 3}}
+    code, rep = run_cli(tmp_path, job)
+    assert code == 64 and rep == {}
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MalformedInput" and "tol-momnet" in err["detail"]
+
+
 def test_unwritable_output_reported_as_json(tmp_path, capsys):
     inp = tmp_path / "job.json"
     inp.write_text(json.dumps({"command": "generate"}))
@@ -286,7 +295,7 @@ def _recursive_decompose_job():
 
 
 REACH_JOBS = {
-    # T8 has nested right factors, so double_decompositions compares them
+    # T8 has nested right factors, read off its divisors by double_decompositions
     "analyze": lambda: {**_recursive_decompose_job(), "command": "analyze"},
     "verify": lambda: t6_job("verify"),
     "decompose": _recursive_decompose_job,
@@ -325,7 +334,7 @@ TRACK = [
 ]
 DECOMP = [
     (solver, "decompose_right", _in_tol, {"right_factor_for"}),
-    (solver, "decompose_outer", _in_tol, {"double_decompositions", "decompose_solution"}),
+    (solver, "decompose_outer", _in_tol, {"decompose_solution"}),
 ]
 VIEWS = [(solver, "verify_vanishing", _in_tol, {"verify"})]
 INSTANCE = [

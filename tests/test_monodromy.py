@@ -16,7 +16,6 @@ from polymoment.monodromy import (
     critical_data,
     f_vectors,
     monodromy,
-    multiplicity_at,
     polish_fiber,
     tree_path,
     _lassos,
@@ -227,10 +226,11 @@ def test_build_cactus_t6_multiplicities():
 
 
 def test_multiplicity_at():
-    md_t6 = monodromy(T6, -SQ3 / 2, SQ3 / 2)
-    assert multiplicity_at(md_t6, SQ3 / 2) == 2
-    assert multiplicity_at(md_t6, 0.3) == 1
-    assert multiplicity_at(monodromy(ComplexPoly([0, 0, 0, 1]), 0, 1), 0) == 3
+    # each endpoint's vertex is recorded once, as (color, multiplicity)
+    md_t6 = monodromy(T6, 0.3, SQ3 / 2)
+    assert [e for _, e in md_t6.ends] == [1, 2]
+    assert md_t6.critical_values[md_t6.ends[1][0] - 1] == pytest.approx(-1)
+    assert monodromy(ComplexPoly([0, 0, 0, 1]), 0, 1).ends[0][1] == 3
 
 
 FIG1_GENS = [

@@ -13,7 +13,7 @@ from polymoment import series, solver
 from polymoment.errors import BlockMismatch, InvalidDivisor, MalformedInput, NotASolution
 from polymoment.monodromy import cactus_from_generators, f_vectors, tree_path
 from polymoment.permgroup import circulant_from_row, from_cycles, minimal_projector_rows
-from polymoment.poly import ComplexPoly, affine_equivalent, chebyshev, compose
+from polymoment.poly import ComplexPoly, affine_equivalent, chebyshev, compose, decompose_outer
 from polymoment.rational import (
     apply_permutation,
     contains,
@@ -186,6 +186,36 @@ def test_double_decompositions_cases(inst_t6):
     q6 = build_instance(ComplexPoly([0] * 6 + [1]), -1, 1)
     pairs6 = double_decompositions(q6)
     assert len(pairs6) == 1
+
+
+def _nesting_instance(name):
+    if name.startswith("seed"):
+        prob = random_reducible_problem(int(name[4:]))
+        return build_instance(prob.P, prob.a, prob.b)
+    n = int(name[1:])
+    if name[0] == "T":
+        return build_instance(chebyshev(n), -SQ3 / 2, SQ3 / 2)
+    return build_instance(ComplexPoly([0] * n + [1]), -1, 1)
+
+
+@pytest.mark.parametrize("name", ["T12", "T24", "z12", "z24"] + [f"seed{s}" for s in range(10)])
+def test_nesting_read_off_the_divisor_lattice(name):
+    # the float algebra is the oracle: B_big is a polynomial in B_small
+    # exactly when one divisor divides the other, and the incomparable pairs
+    # are what double_decompositions returns
+    inst = _nesting_instance(name)
+    mids = [d for d in inst.D.divisors if d not in (1, inst.n)]
+    incomparable = []
+    for i, x in enumerate(mids):
+        for y in mids[i + 1:]:
+            Bx, By = right_factor_for(inst, x)[1], right_factor_for(inst, y)[1]
+            big, small = (Bx, By) if Bx.degree > By.degree else (By, Bx)
+            nested = decompose_outer(big, small, inst.tol) is not None
+            assert nested == (x % y == 0 or y % x == 0), (x, y)
+            if not nested:
+                incomparable.append((x, y))
+    pairs = double_decompositions(inst)
+    assert [(inst.n // p[0][1].degree, inst.n // p[1][1].degree) for p in pairs] == incomparable
 
 
 def test_decompose_solution_t6(inst_t6):
@@ -448,11 +478,29 @@ def test_sub_instance_tracks_nothing(monkeypatch):
         raise AssertionError("a sub-instance tracked its monodromy or endpoints")
 
     monkeypatch.setattr(solver, "monodromy", forbidden)
-    for name in ("monodromy", "_locate_branches", "multiplicity_at"):
+    for name in ("monodromy", "_locate_branches"):
         monkeypatch.setattr(monodromy_module, name, forbidden)
     (f, A, B), = _missing_factors(inst)
     assert quotient_instance(A, B, inst).n == f
     assert decompose_solution(inst, Q)
+
+
+class _NeverEvaluated(ComplexPoly):
+    def __call__(self, z):
+        raise AssertionError("the outer factor was evaluated")
+
+
+@pytest.mark.parametrize("name", RECURSIVE)
+def test_sub_instance_colors_come_from_the_parent(name):
+    # A(B(a)) = P(a): the endpoints keep their vertex colors, so the
+    # sub-instance never evaluates A to find them
+    inst, _ = _recursive_case(name)
+    for f, A, B in _missing_factors(inst):
+        sub = quotient_instance(_NeverEvaluated(A.coeffs), B, inst)
+        for v, parent_v in ((sub.cactus.vertex_a, inst.cactus.vertex_a),
+                            (sub.cactus.vertex_b, inst.cactus.vertex_b)):
+            value = sub.md.critical_values[v.color - 1]
+            assert value == inst.md.critical_values[parent_v.color - 1]
 
 
 # ---------------------------------------------------------------------------
