@@ -15,8 +15,9 @@ truncation, seed and tol-<field>, numeric flags and options that do not
 convert, a count that is a boolean or has a fractional part, a negative
 count, a seed numpy cannot take, a truncation shorter than the expansion of
 Q(P^-1) needs (N < deg P + deg Q - 1), a tolerance that is negative or not
-finite, a coefficient or endpoint that is not finite, and an --output file
-that cannot be written are malformed input.
+finite, a coefficient or endpoint that is not finite, an --output file that
+cannot be written, and an unknown flag or a flag argparse rejects are
+malformed input.
 """
 
 from __future__ import annotations
@@ -224,8 +225,14 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would print usage and exit 2, the code of a false verdict
+        raise MalformedInput(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="polymoment",
         description="moment vanishing for complex polynomials on a segment",
     )
@@ -293,8 +300,8 @@ def _malformed(exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.input:
             with open(args.input) as fh:
                 text = fh.read()

@@ -126,6 +126,14 @@ class Cactus:
     def d_b(self) -> int:
         return len(self.vertex_b.cycle)
 
+    def identifies(self, d: int) -> bool:
+        """W(a) = W(b) for the right factor W of degree n/d (d = 1: P(a) = P(b)).
+        W is constant on the branch classes mod d, and the classes V(a) fills
+        are one point of W's fiber over P(a): a, b share it exactly when they
+        share a color and V(a), V(b) fill the same classes."""
+        same = {i % d for i in self.vertex_a.cycle} == {i % d for i in self.vertex_b.cycle}
+        return same and self.vertex_a.color == self.vertex_b.color
+
     def edge_count(self) -> int:
         return self.n * self.k
 

@@ -38,7 +38,8 @@ from .errors import (
 @dataclass(frozen=True)
 class Tolerances:
     """The thresholds of the numerical checks; the CLI sets each by --tol-<field>.
-    `roots` iterates to min(root, 1e-12), so `root` only tightens it below 1e-12."""
+    `roots` iterates to min(root, 1e-12), so `root` only tightens it below 1e-12.
+    W(a) = W(b) takes none: the tree decides it (`Cactus.identifies`)."""
 
     root: float = 1e-10
     cluster: float = 1e-8
@@ -50,7 +51,6 @@ class Tolerances:
     phi: float = 1e-9
     support: float = 1e-9
     recover: float = 1e-8
-    point: float = 1e-9
     block: float = 1e-8
 
 

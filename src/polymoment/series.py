@@ -537,26 +537,14 @@ def verify_vanishing(
     )
 
 
-def brc_elements(cactus: Cactus, same_value: bool):
-    """The guaranteed subspace members attached to the endpoint vertices.
-
-    With P(a) = P(b): one vector, 1/d_a on V(a) minus 1/d_b on V(b).
-    Otherwise two vectors, the normalized indicators of V(a) and of V(b).
-    """
-    n = cactus.n
-    va, vb = cactus.V_a, cactus.V_b
-    da, db = cactus.d_a, cactus.d_b
-    if same_value:
-        v = [Fraction(0)] * n
-        for i in va:
-            v[i - 1] += Fraction(1, da)
-        for i in vb:
-            v[i - 1] -= Fraction(1, db)
-        return [tuple(v)]
-    out = []
-    for idx, d in ((va, da), (vb, db)):
-        v = [Fraction(0)] * n
-        for i in idx:
-            v[i - 1] = Fraction(1, d)
-        out.append(tuple(v))
-    return out
+def brc_elements(cactus: Cactus):
+    """The guaranteed subspace members attached to the endpoint vertices: the
+    normalized indicators of V(a) and of V(b), or their difference when
+    P(a) = P(b) on the tree (`Cactus.identifies(1)`)."""
+    va, vb = (
+        tuple(Fraction(1, len(V)) if i in V else Fraction(0) for i in range(1, cactus.n + 1))
+        for V in (cactus.V_a, cactus.V_b)
+    )
+    if cactus.identifies(1):
+        return [tuple(x - y for x, y in zip(va, vb))]
+    return [va, vb]

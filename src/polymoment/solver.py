@@ -9,7 +9,8 @@ divisor lattice D, and M is fixed by the set S of d whose piece some sign
 vector reaches: M = sum over S of U_d, built exactly from the cyclotomic
 factors of x^n - 1 without iterating the group action.  Each admissible d
 carries a right factor B_d of degree n/d of P, constant on the residue
-classes mod d at the level of inverse branches.
+classes mod d at the level of inverse branches, so B_d(a) = B_d(b) is read
+off the tree (`Cactus.identifies`) by existence, generators and decompose.
 
 A solution Q (all segment moments of Q' against powers of P vanish) is
 decomposed constructively: split its expansion at infinity along index
@@ -85,9 +86,6 @@ class ProblemInstance:
     @property
     def imprimitivity_count(self) -> int:
         return len(self.D.divisors)
-
-    def tol_point(self) -> float:
-        return self.tol.point * (1.0 + self.P.coeff_scale())
 
     def all_generators(self):
         return list(self.md.generators) + [self.md.g_inf]
@@ -230,24 +228,23 @@ class FactorCandidate:
 def reducible_generators(inst: ProblemInstance) -> list[FactorCandidate]:
     """Right factors W with W(a) = W(b); the building blocks of solutions.
 
-    Empty exactly when P(a) != P(b) (then no nonzero solutions exist; note
-    W = P itself qualifies whenever P(a) = P(b)).  Degree-1 factors are
-    never reported.
+    Only divisors whose factor identifies a, b on the tree are factored; the
+    gap |W(a) - W(b)| is reported, not tested.  Empty exactly when
+    P(a) != P(b) (then no nonzero solutions exist; note W = P itself
+    qualifies whenever P(a) = P(b)).  Degree-1 factors are never reported.
     """
     out = []
-    tol = inst.tol_point()
     for d in inst.D.divisors:
-        if d == inst.n:
-            continue  # W would be linear
-        A, B = right_factor_for(inst, d)
-        gap = abs(B(inst.a) - B(inst.b))
-        if gap <= tol:
-            out.append(FactorCandidate(d=d, W=B, A=A, gap=gap))
+        # d = n would give a linear W
+        if d != inst.n and inst.cactus.identifies(d):
+            A, B = right_factor_for(inst, d)
+            out.append(FactorCandidate(d=d, W=B, A=A, gap=abs(B(inst.a) - B(inst.b))))
     return out
 
 
 def exists_nonzero_solution(inst: ProblemInstance) -> bool:
-    return abs(inst.P(inst.a) - inst.P(inst.b)) <= inst.tol_point()
+    """P(a) = P(b), read off the tree: a and b share a color."""
+    return inst.cactus.identifies(1)
 
 
 def double_decompositions(inst: ProblemInstance):
@@ -300,12 +297,12 @@ def decompose_solution(
 
     Index classes (n/f)Z of the expansion of Q(P^-1) are peeled off for
     admissible f in decreasing order; each extracted part descends to
-    S_f = R_f(B_f).  Parts whose factor identifies the endpoints are emitted;
-    the others are decomposed recursively through the outer polynomial and
-    pulled back by composing with B_f.  The summands add up to Q - Q(a)
-    coefficientwise.
+    S_f = R_f(B_f).  Parts whose factor identifies the endpoints on the tree
+    are emitted; the others are decomposed recursively through the outer
+    polynomial and pulled back by composing with B_f.  The summands add up
+    to Q - Q(a) coefficientwise.
     """
-    a, b, n = inst.a, inst.b, inst.n
+    a, n = inst.a, inst.n
     report = inst.verify(Q, I=I, N=N)
     if not report.verdict:
         raise NotASolution(f"vanishing checks failed: {report.to_json()}")
@@ -313,7 +310,6 @@ def decompose_solution(
     if Qn.is_zero():
         return []
     qscale = Qn.coeff_scale()
-    tol_pt = inst.tol_point()
     # the verifier's expansion, against the range-rescaled P: supports and the
     # descended polynomials are identical, the coefficient profile stays tame
     w, series = report.w, report.series
@@ -325,7 +321,7 @@ def decompose_solution(
         R = decompose_outer(Qn, B1, inst.tol)
         if R is None:
             raise ResidualNonzero("series supported on nZ but Q is not R(P)")
-        if abs(B1(a) - B1(b)) > tol_pt:
+        if not inst.cactus.identifies(1):
             raise NotASolution("Q = R(P) with P(a) != P(b) forces R = 0")
         return [summand(inst, Qn, B1, A1, R)]
 
@@ -354,7 +350,7 @@ def decompose_solution(
     summands: list[ReducibleSummand] = []
     stray_constant = 0j
     for f, S, A, B, R in pieces:
-        if abs(B(a) - B(b)) <= tol_pt:
+        if inst.cactus.identifies(f):
             summands.append(summand(inst, S, B, A, R))
             continue
         if f < 2:

@@ -275,9 +275,10 @@ def test_criterion_6_geometry_corpus(corpus):
                     abs(np.sum(v * wk)) > 1e-9 * np.max(np.abs(v)) * n for v in basis
                 )
                 assert (piece_of(inst.D, k) in inst.S) == twisted
-            same = abs(prob.P(prob.a) - prob.P(prob.b)) <= inst.tol_point()
-            assert same  # built with B(a) = B(b)
-            brc = brc_elements(inst.cactus, same)
+            # built with B(a) = B(b), so P(a) = P(b): a and b share a color
+            assert abs(prob.P(prob.a) - prob.P(prob.b)) <= 1e-9 * (1 + prob.P.coeff_scale())
+            assert inst.cactus.identifies(1)
+            brc = brc_elements(inst.cactus)
             for v in brc:
                 assert contains(inst.M, v)  # exact membership
             rep = inst.verify(prob.Q)

@@ -159,6 +159,24 @@ def test_unknown_option_malformed(tmp_path, capsys):
     assert code == 64 and rep == {}
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "MalformedInput" and "tol-momnet" in err["detail"]
+    # there is no tol-point setting: the tree decides W(a) = W(b)
+    code, rep = run_cli(tmp_path, {**t6_job("verify"), "options": {"tol-point": 1e-9}})
+    assert code == 64 and rep == {}
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MalformedInput" and "tol-point" in err["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--tol-point", "1e-9"], ["--bogus"], ["--moments"], ["--command", "bogus"]],
+    ids=["removed_flag", "unknown_flag", "missing_value", "bad_command"],
+)
+def test_rejected_arguments_malformed(tmp_path, capsys, argv):
+    # argparse used to print its usage and exit 2, the code of a false verdict
+    code, rep = run_cli(tmp_path, t6_job("verify"), extra=argv)
+    assert code == 64 and rep == {}
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MalformedInput" and err["detail"]
 
 
 def test_unwritable_output_reported_as_json(tmp_path, capsys):
@@ -311,10 +329,6 @@ def _in_inst(args, field):
     return getattr(args["inst"].tol, field)
 
 
-def _in_self(args, field):
-    return getattr(args["self"].tol, field)
-
-
 def _cut(args, field):
     return args["tol"]
 
@@ -339,7 +353,6 @@ DECOMP = [
 VIEWS = [(solver, "verify_vanishing", _in_tol, {"verify"})]
 INSTANCE = [
     (solver, "quotient_instance", _in_inst, {"decompose_solution"}),
-    (solver.ProblemInstance, "tol_point", _in_self, {"decompose_solution"}),
     (solver, "right_factor_for", _in_inst, {"decompose_solution"}),
 ]
 REACH = {
@@ -360,7 +373,6 @@ REACH = {
         VIEWS + [(series.PuiseuxSeries, "support", _cut, {"verify_vanishing", "decompose_solution"})],
     ),
     "recover": (("decompose",), [(solver, "recover_polynomial", _in_tol, {"decompose_solution"})]),
-    "point": (("decompose",), INSTANCE),
     "block": (("decompose",), INSTANCE),
 }
 

@@ -360,12 +360,12 @@ def test_verify_vanishing_zero_trivial():
 def test_brc_elements_shapes():
     sq = ComplexPoly([0, 0, 1])
     inst = build_instance(sq, -1, 1)
-    vecs = brc_elements(inst.cactus, same_value=True)
+    vecs = brc_elements(inst.cactus)
     assert len(vecs) == 1
     assert sorted(vecs[0]) == [-1, 1]
 
     inst2 = build_instance(sq, 0, 1)
-    vecs2 = brc_elements(inst2.cactus, same_value=False)
+    vecs2 = brc_elements(inst2.cactus)
     assert len(vecs2) == 2
     from fractions import Fraction
 
@@ -373,7 +373,7 @@ def test_brc_elements_shapes():
     assert sorted(vecs2[1]) == [0, 1]
 
     inst6 = build_instance(T6, -SQ3 / 2, SQ3 / 2)
-    v = brc_elements(inst6.cactus, same_value=True)[0]
+    v = brc_elements(inst6.cactus)[0]
     assert sorted(v) == [
         Fraction(-1, 2),
         Fraction(-1, 2),
