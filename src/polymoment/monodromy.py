@@ -12,7 +12,7 @@ the critical points over the value.  Near a critical point zeta of local
 degree e, P - v ~ alpha (z - zeta)^e, so the circle moves each of the e
 fiber values nearest zeta to the next one counterclockwise in arg(w - zeta)
 (the local-monodromy step of Poteaux, SNC 2007).  A value with no critical
-point over it reads as the identity, and needs no leg.  A reading that its
+point over it reads as the identity.  A reading that its
 isolation, angle and claim tests cannot certify falls back to tracking the
 circle and matching the fiber after it against the fiber at q; the loop at
 infinity is always tracked, so `check_relations` checks the readings
@@ -25,15 +25,16 @@ relabeled so that the infinity permutation is exactly (1 2 ... n).
 
 Conventions, fixed once and verified by the branch-consistency tests:
 permutations compose left-to-right, loops around finite values run
-counterclockwise and are ordered counterclockwise by angle at c, the
-infinity loop is the clockwise big circle, so g_1 g_2 ... g_k g_inf = id.
+counterclockwise and are ordered counterclockwise by angle at c, starting
+where the infinity loop, the clockwise big circle, leaves c, so
+g_1 g_2 ... g_k g_inf = id.
 
 Endpoints a, b enter as vertices of the tree: P(a), P(b) are appended to the
-values when not already present, and `ends` records each endpoint's color
-and multiplicity once.  The branch sets V(a), V(b) (branches converging to a
-resp. b along the corresponding arc) are located by continuation and must
-match a cycle of the corresponding generator; embedded as n-th roots of
-unity, they must be circularly separated (strictly when a and b share a
+values when not already present, and `ends` records each endpoint's vertex
+once, as its color and its branch set V(a): the branches converging to a as
+the fiber at the q of its value's leg is continued toward the value.  V(a),
+V(b) must match a cycle of their color's generator; embedded as n-th roots
+of unity, they must be circularly separated (strictly when a and b share a
 color, i.e. P(a) = P(b), allowing one shared point otherwise).  One walk of
 the incidence graph from V(a) then checks that it is a tree and yields the
 unique path from V(a) to V(b) that the sign vectors f_s are read off.
@@ -72,8 +73,8 @@ class MonodromyData:
     Branch numbering is normalized so g_inf = (1 2 ... n); `fiber` holds the
     branch values above `base_point` in that numbering (branch i at
     fiber[i-1]).  The numbering is canonical up to the choice of branch 1.
-    `ends` holds the vertex of a and of b as (color, multiplicity); monodromy
-    induced on a right factor's blocks carries none.
+    `ends` holds the vertex of a and of b as (color, branch set V), tracked
+    or induced on a right factor's blocks alike.
     """
 
     n: int
@@ -83,7 +84,7 @@ class MonodromyData:
     generators: tuple[Permutation, ...]
     g_inf: Permutation
     fiber: tuple[complex, ...]
-    ends: tuple[tuple[int, int], ...] = ()
+    ends: tuple[tuple[int, frozenset[int]], ...]
 
     @property
     def k(self) -> int:
@@ -192,9 +193,9 @@ def critical_data(P: ComplexPoly, a: complex, b: complex, tol: Tolerances = Tole
     """Distinct finite critical values, supplemented by P(a), P(b) if needed.
 
     Returns (values, supplemented_flags, c, points): the basepoint c chosen
-    for the values, which are ordered counterclockwise by angle around it,
-    and per value the critical points over it as (zeta, e) clusters of e - 1
-    roots of P'.  A supplemented value has none.
+    for the values, ordered counterclockwise around it from where the big
+    loop leaves c, and per value the critical points over it as (zeta, e)
+    clusters of e - 1 roots of P'.  A supplemented value has none.
     """
     if P.degree < 2:
         raise DegenerateInput("deg P must be >= 2")
@@ -219,7 +220,10 @@ def critical_data(P: ComplexPoly, a: complex, b: complex, tol: Tolerances = Tole
             values.append(w)
             points.append([])
     c = choose_basepoint(values)
-    order = sorted(range(len(values)), key=lambda i: np.angle(values[i] - c))
+    # `_lassos` leaves c away from the centroid; g_1 ... g_k g_inf = id holds
+    # only for the order cut there
+    ctr = sum(values) / len(values)
+    order = sorted(range(len(values)), key=lambda i: np.angle((values[i] - c) / (ctr - c)))
     return (
         [values[i] for i in order],
         [not points[i] for i in order],
@@ -465,22 +469,23 @@ def monodromy(
     permutations pass `check_relations`; a failure means the tracking
     tolerances were too coarse for this input.  Branches are relabeled so
     g_inf = (1 2 ... n); branch 1 is the first root of the basepoint fiber,
-    an arbitrary but deterministic choice.
+    an arbitrary but deterministic choice.  Each endpoint z is located from
+    the fiber at the q of its color's leg, with multiplicity 1 + the roots
+    of P' clustered at z.
     """
     n = P.degree
     values, flags, c, points = critical_data(P, a, b, tol)
     fiber = polish_fiber(P, c, roots(P - c, tol, seed=seed))
 
     *lassos, big = _lassos(c, values, n)
-    gens = []
+    gens, at_q = [], []
     for loop, over in zip(lassos, points):
-        g = identity(n)
-        if over:
-            at_q = continue_branches(P, loop[:2], fiber, tol)[-1]
-            g = _local_reading(at_q, over)
-            if g is None:
-                g = _match_permutation(at_q, continue_branches(P, loop[1:], at_q, tol)[-1])
+        w = continue_branches(P, loop[:2], fiber, tol)[-1]
+        g = _local_reading(w, over)
+        if g is None:
+            g = _match_permutation(w, continue_branches(P, loop[1:], w, tol)[-1])
         gens.append(g)
+        at_q.append(w)
     fibers = continue_branches(P, big, fiber, tol)
     g_inf = _match_permutation(fibers[1], fibers[-1])
     check_relations(gens, g_inf, n)
@@ -494,12 +499,15 @@ def monodromy(
     gens = [r * g * r.inverse() for g in gens]
     g_inf = r * g_inf * r.inverse()
     assert g_inf.images == full_cycle(n).images
-    new_fiber = [complex(fiber[i - 1]) for i in old_of_new]
-    # endpoint z: color of the value nearest P(z), 1 + the roots of P' clustered at z
+    new = np.array(old_of_new) - 1
     pts = [p for over in points for p in over]
     radius = tol.cluster * (1.0 + max(abs(zeta) for zeta, _ in pts))
-    ends = tuple((int(np.argmin(np.abs(np.array(values) - P(z)))) + 1,
-                  next((e for zeta, e in pts if abs(zeta - z) <= radius), 1)) for z in (a, b))
+    ends = []
+    for z in (a, b):
+        s = int(np.argmin(np.abs(np.array(values) - P(z))))  # the color of z
+        mult = next((e for zeta, e in pts if abs(zeta - z) <= radius), 1)
+        V = _locate_branches(P, lassos[s][1], values[s], at_q[s][new], z, mult, tol)
+        ends.append((s + 1, V))
     return MonodromyData(
         n=n,
         base_point=c,
@@ -507,8 +515,8 @@ def monodromy(
         supplemented=tuple(flags),
         generators=tuple(gens),
         g_inf=g_inf,
-        fiber=tuple(new_fiber),
-        ends=ends,
+        fiber=tuple(complex(w) for w in fiber[new]),
+        ends=tuple(ends),
     )
 
 
@@ -517,25 +525,22 @@ def monodromy(
 # ---------------------------------------------------------------------------
 
 
-def _locate_branches(
-    P, md: MonodromyData, point: complex, s: int, mult: int, tol: Tolerances
-):
-    """Branch indices whose values converge to `point` along the s-th arc."""
-    c = md.base_point
-    cs = md.critical_values[s - 1]
-    u = (c - cs) / abs(c - cs)
-    delta = 1e-2 * _loop_radius(c, md.critical_values, s - 1)
-    w = np.array(md.fiber, dtype=complex)
-    z_cur = c
+def _locate_branches(P, q: complex, value: complex, w, point: complex, mult: int, tol: Tolerances):
+    """Branch indices whose values converge to `point` as the fiber w at the
+    start q of the circle around `value` is continued toward `value`: the
+    `mult` nearest, once they are 8 times closer than the next one."""
+    u = (q - value) / abs(q - value)
+    delta = 1e-2 * abs(q - value)
+    z_cur = q
     for _ in range(7):
-        q = cs + delta * u
-        w = continue_branches(P, [z_cur, q], w, tol)[-1]
-        z_cur = q
+        z = value + delta * u
+        w = continue_branches(P, [z_cur, z], w, tol)[-1]
+        z_cur = z
         dists = sorted(
             (abs(wi - point), i + 1) for i, wi in enumerate(w)
         )
         chosen = [i for _, i in dists[:mult]]
-        if mult == md.n or dists[mult - 1][0] * 8.0 <= dists[mult][0]:
+        if mult == len(w) or dists[mult - 1][0] * 8.0 <= dists[mult][0]:
             return frozenset(chosen)
         delta /= 16.0
     raise VertexMismatch(
@@ -616,12 +621,12 @@ def cactus_from_generators(
                   path=tuple(reversed(path)))
 
 
-def cactus_from_vertices(md: MonodromyData, s_a: int, Va, s_b: int, Vb) -> Cactus:
-    """The tree with a, b on the color-s_a vertex with branch set Va and the
-    color-s_b vertex with branch set Vb.  Each set must be a cycle of its
-    color's permutation, the two vertices must differ (else DegeneratePath),
-    and the sets must be circularly separated: disjointed when P(a) = P(b),
-    that is s_a = s_b, at worst almost otherwise."""
+def build_cactus(md: MonodromyData) -> Cactus:
+    """The tree with a, b on the vertices in `md.ends`, tracked or induced.
+    Each set must be a cycle of its color's permutation, the two vertices
+    must differ (else DegeneratePath), and the sets must be circularly
+    separated: disjointed when a, b share a color, at worst almost otherwise."""
+    (s_a, Va), (s_b, Vb) = md.ends
     for s, V, label in ((s_a, Va, "a"), (s_b, Vb, "b")):
         if V not in {frozenset(cyc) for cyc in md.generators[s - 1].cycles()}:
             raise VertexMismatch(f"V({label}) = {sorted(V)} is not a cycle of color {s}")
@@ -634,22 +639,6 @@ def cactus_from_vertices(md: MonodromyData, s_a: int, Va, s_b: int, Vb) -> Cactu
     if sep == "entangled":
         raise VertexMismatch("V(a), V(b) are entangled on the circle")
     return cactus_from_generators(md.n, md.generators, (s_a, min(Va)), (s_b, min(Vb)))
-
-
-def build_cactus(
-    md: MonodromyData, P: ComplexPoly, a: complex, b: complex, tol: Tolerances = Tolerances()
-) -> Cactus:
-    """Locate a and b on the tree and assemble it.
-
-    V(a) is found by continuing the fiber along the arc toward the color of
-    a in `md.ends` and picking the branches that converge to a, as many as
-    its multiplicity there.  `cactus_from_vertices` checks the sets on every
-    build.
-    """
-    (s_a, m_a), (s_b, m_b) = md.ends
-    Va = _locate_branches(P, md, a, s_a, m_a, tol)
-    Vb = _locate_branches(P, md, b, s_b, m_b, tol)
-    return cactus_from_vertices(md, s_a, Va, s_b, Vb)
 
 
 def tree_path(cactus: Cactus):

@@ -22,7 +22,7 @@ with B_f.  Every right factor is monic with W(0) = 0, so the composite is
 too, and A_tilde, Q_tilde carry over as they are.  Each summand is built by
 `summand`, which checks P = A_tilde(W) and Q = Q_tilde(W) and keeps both
 residuals; attaching a constant builds, and so checks, it again.  The
-sub-instance reads A_f's monodromy and endpoint vertices off P's tree (only
+sub-instance induces A_f's monodromy and endpoint vertices from P's (only
 its verifier tracks, along the 8-point sample ray): B_f is constant on the
 residue classes mod f, which P's loop permutations permute as A_f's.  The
 recursion strictly decreases the degree, so it terminates.
@@ -48,8 +48,7 @@ from .errors import (
     ResidualNonzero,
 )
 from .monodromy import (
-    Cactus, MonodromyData, build_cactus, cactus_from_vertices, check_relations, f_vectors,
-    monodromy, tree_path,
+    Cactus, MonodromyData, build_cactus, check_relations, f_vectors, monodromy, tree_path,
 )
 from .permgroup import DivisorLattice, act_on_classes, divisor_lattice, invariant_pieces
 from .poly import ComplexPoly, Tolerances, compose, decompose_outer, decompose_right, roots
@@ -129,15 +128,15 @@ class ReducibleSummand:
 def build_instance(
     P: ComplexPoly, a: complex, b: complex, seed: int = 0, tol: Tolerances = Tolerances()
 ) -> ProblemInstance:
-    """Monodromy and tree by tracking; the rest is `instance_from_tree`."""
-    md = monodromy(P, a, b, tol, seed=seed)
-    return instance_from_tree(P, a, b, md, build_cactus(md, P, a, b, tol), tol)
+    """Monodromy and endpoints by tracking; the rest is `instance_from_tree`."""
+    return instance_from_tree(P, a, b, monodromy(P, a, b, tol, seed=seed), tol)
 
 
 def instance_from_tree(
-    P: ComplexPoly, a: complex, b: complex, md: MonodromyData, cactus: Cactus, tol: Tolerances
+    P: ComplexPoly, a: complex, b: complex, md: MonodromyData, tol: Tolerances
 ) -> ProblemInstance:
-    """Sign vectors, divisor lattice, divisor set and subspace."""
+    """The tree (`build_cactus`), sign vectors, divisor lattice, divisor set and subspace."""
+    cactus = build_cactus(md)
     fv = f_vectors(cactus, tree_path(cactus))
     n = P.degree
     D = divisor_lattice(list(md.generators) + [md.g_inf], n)
@@ -159,14 +158,14 @@ def quotient_instance(A: ComplexPoly, B: ComplexPoly, inst: ProblemInstance) -> 
     class j is branch j of A, at B(fiber[j - 1]): P's loop permutations act
     on the classes as A's do, for the same basepoint and loops.  Colors that
     act trivially are dropped, except those of a and b, kept as supplemented
-    values: A(B(a)) = P(a), so a and b keep their colors, and V(a), V(b) are
-    the classes of P's.  The induced data pass the same checks as tracked
-    data.
+    values: A(B(a)) = P(a), so a and b keep their colors, and the `ends` of
+    the sub-instance are the classes of P's.  The induced data pass the same
+    checks as tracked data.
     """
-    md, cac, f = inst.md, inst.cactus, A.degree
+    md, f = inst.md, A.degree
     induced = [act_on_classes(g, f) for g in md.generators]
-    ends = (cac.vertex_a.color, cac.vertex_b.color)
-    keep = [s for s, g in enumerate(induced, start=1) if s in ends or not g.is_identity()]
+    colors = [s for s, _ in md.ends]
+    keep = [s for s, g in enumerate(induced, start=1) if s in colors or not g.is_identity()]
     gens, g_inf = tuple(induced[s - 1] for s in keep), act_on_classes(md.g_inf, f)
     check_relations(gens, g_inf, f)
     sub = MonodromyData(
@@ -174,11 +173,9 @@ def quotient_instance(A: ComplexPoly, B: ComplexPoly, inst: ProblemInstance) -> 
         critical_values=tuple(md.critical_values[s - 1] for s in keep),
         supplemented=tuple(g.is_identity() for g in gens),
         fiber=tuple(complex(B(w)) for w in md.fiber[:f]),
+        ends=tuple((keep.index(s) + 1, frozenset((i - 1) % f + 1 for i in V)) for s, V in md.ends),
     )
-    s_a, s_b = (keep.index(s) + 1 for s in ends)
-    Va, Vb = (frozenset((i - 1) % f + 1 for i in V) for V in (cac.V_a, cac.V_b))
-    cactus = cactus_from_vertices(sub, s_a, Va, s_b, Vb)
-    return instance_from_tree(A, B(inst.a), B(inst.b), sub, cactus, inst.tol)
+    return instance_from_tree(A, B(inst.a), B(inst.b), sub, inst.tol)
 
 
 def right_factor_for(inst: ProblemInstance, d: int):

@@ -361,7 +361,7 @@ REACH = {
         ("analyze", "generate"),
         ROOTS + [
             (monodromy, "_cluster_values", _radius, {"critical_data"}),
-            (solver, "build_cactus", _in_tol, {"build_instance"}),
+            (monodromy, "_locate_branches", _in_tol, {"monodromy"}),
         ],
     ),
     "track": (("verify",), TRACK),

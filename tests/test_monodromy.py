@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polymoment import monodromy as mono
-from polymoment.errors import DegenerateInput, TrackingFailure, TreeViolation, VertexMismatch
+from polymoment.errors import (
+    DegenerateInput, DegeneratePath, TrackingFailure, TreeViolation, VertexMismatch,
+)
 from polymoment.monodromy import (
     build_cactus,
     cactus_from_generators,
@@ -26,7 +29,7 @@ from polymoment.monodromy import (
 )
 from polymoment.permgroup import Permutation, from_cycles, full_cycle, identity
 from polymoment.poly import ComplexPoly, Tolerances, chebyshev, compose, derivative, eval_many, roots
-from polymoment.solver import random_reducible_problem
+from polymoment.solver import build_instance, random_reducible_problem
 
 SQ3 = math.sqrt(3)
 T6 = chebyshev(6)
@@ -74,6 +77,16 @@ def test_choose_basepoint_contract():
             assert dmin >= 0.4 * diam
         else:
             assert dmin >= 1.0
+
+
+def test_loop_order_cut_where_big_loop_leaves_basepoint():
+    # c lies east of all four values, so they straddle the direction -x seen
+    # from c; ordered by arg(v - c) alone, the loop product started at the
+    # wrong loop and raised RelationViolation("loop product does not close")
+    P = ComplexPoly([0.2058 - 1.9266j, 0.5981 - 0.0885j, 1.2906 - 1.7788j, -0.2567 - 1.2231j])
+    inst = build_instance(P, 0.6165585503584843, -0.5769677193128627)
+    assert all(v.real < inst.md.base_point.real for v in inst.md.critical_values)
+    assert inst.S == {1, 3}
 
 
 def test_monodromy_uses_the_critical_data_basepoint():
@@ -203,7 +216,7 @@ def test_monodromy_t6_shape():
 def test_build_cactus_square():
     sq = ComplexPoly([0, 0, 1])
     md = monodromy(sq, 1, -1)
-    cac = build_cactus(md, sq, 1, -1)
+    cac = build_cactus(md)
     assert cac.d_a == cac.d_b == 1
     assert cac.V_a != cac.V_b
     assert cac.vertex_count() == cac.edge_count() + 1
@@ -212,25 +225,25 @@ def test_build_cactus_square():
 def test_build_cactus_critical_endpoint():
     sq = ComplexPoly([0, 0, 1])
     md = monodromy(sq, 0, 1)
-    cac = build_cactus(md, sq, 0, 1)
+    cac = build_cactus(md)
     assert cac.d_a == 2 and set(cac.V_a) == {1, 2}
     assert cac.d_b == 1
 
 
 def test_build_cactus_t6_multiplicities():
     md = monodromy(T6, -SQ3 / 2, SQ3 / 2)
-    cac = build_cactus(md, T6, -SQ3 / 2, SQ3 / 2)
+    cac = build_cactus(md)
     assert cac.d_a == 2 and cac.d_b == 2
     assert len(cac.V_a) == 2 and len(cac.V_b) == 2
     assert circular_separation(cac.V_a, cac.V_b, 6) == "disjointed"
 
 
 def test_multiplicity_at():
-    # each endpoint's vertex is recorded once, as (color, multiplicity)
+    # each endpoint's vertex is recorded once, as (color, branch set V)
     md_t6 = monodromy(T6, 0.3, SQ3 / 2)
-    assert [e for _, e in md_t6.ends] == [1, 2]
+    assert [len(V) for _, V in md_t6.ends] == [1, 2]
     assert md_t6.critical_values[md_t6.ends[1][0] - 1] == pytest.approx(-1)
-    assert monodromy(ComplexPoly([0, 0, 0, 1]), 0, 1).ends[0][1] == 3
+    assert len(monodromy(ComplexPoly([0, 0, 0, 1]), 0, 1).ends[0][1]) == 3
 
 
 FIG1_GENS = [
@@ -264,7 +277,7 @@ def test_f_vector_invariants_on_instances():
         cactus_from_generators(8, FIG1_GENS, (1, 2), (3, 4)),
     ]
     md = monodromy(T6, -SQ3 / 2, SQ3 / 2)
-    cases.append(build_cactus(md, T6, -SQ3 / 2, SQ3 / 2))
+    cases.append(build_cactus(md))
     for cac in cases:
         fv = f_vectors(cac, tree_path(cac))
         assert all(x in (-1, 0, 1) for row in fv for x in row)
@@ -287,6 +300,44 @@ def test_tree_walk_checks_connectivity():
     gens = [from_cycles(4, [(1, 2)]), from_cycles(4, [(1, 2)]), from_cycles(4, [(3, 4)])]
     with pytest.raises(TreeViolation, match="incidence graph is not connected"):
         cactus_from_generators(4, gens, (1, 1), (3, 3))
+
+
+# T_6 on +-sqrt(3)/2: color 1 is (1 2)(3 6)(4 5), color 2 is (2 6)(3 5);
+# two cycles of one permutation never share a branch, so the one-color case
+# that is not disjointed swaps in a color whose cycles are entangled
+ENTANGLED = (from_cycles(6, [(1, 3), (2, 4)]), from_cycles(6, [(1, 3)]))
+
+
+@pytest.mark.parametrize(
+    "ends, generators, error, match",
+    [
+        (((1, {1, 3}), (1, {4, 5})), None, VertexMismatch, r"V\(a\) = \[1, 3\] is not a cycle"),
+        (((1, {1, 2}), (2, {1, 2})), None, VertexMismatch, r"V\(b\) = \[1, 2\] is not a cycle"),
+        (((1, {1, 2}), (1, {1, 2})), None, DegeneratePath, "same vertex"),
+        (((1, {1, 3}), (1, {2, 4})), ENTANGLED, VertexMismatch, "must be disjointed, got entangled"),
+        (((1, {2, 4}), (2, {1, 3})), ENTANGLED, VertexMismatch, "entangled on the circle"),
+    ],
+    ids=["not_a_cycle_a", "not_a_cycle_b", "same_vertex", "one_color_entangled", "entangled"],
+)
+def test_build_cactus_checks_the_ends(ends, generators, error, match):
+    md = monodromy(T6, -SQ3 / 2, SQ3 / 2)
+    assert build_cactus(md).path
+    md = dataclasses.replace(
+        md, ends=tuple((s, frozenset(V)) for s, V in ends),
+        generators=generators or md.generators,
+    )
+    with pytest.raises(error, match=match):
+        build_cactus(md)
+
+
+def test_build_cactus_allows_almost_on_two_colors():
+    # V(a) = {1, 2} of color 1 and V(b) = {2, 6} of color 2 share star 2:
+    # almost separated, which only two colors may be
+    md = monodromy(T6, -SQ3 / 2, SQ3 / 2)
+    ends = ((1, frozenset({1, 2})), (2, frozenset({2, 6})))
+    cac = build_cactus(dataclasses.replace(md, ends=ends))
+    assert circular_separation(cac.V_a, cac.V_b, 6) == "almost"
+    assert [x for x in cac.path if isinstance(x, int)] == [2]
 
 
 @pytest.mark.parametrize("vertex_a", [(0, 2), (4, 2)])
@@ -413,7 +464,7 @@ def test_golden_monodromy(name):
     P, a, b = _golden_case(name)
     gens, V_a, V_b = GOLDEN[name]
     md = monodromy(P, a, b)
-    cac = build_cactus(md, P, a, b)
+    cac = build_cactus(md)
     assert [list(g.images) for g in md.generators] == gens
     assert md.g_inf.images == full_cycle(P.degree).images
     assert list(cac.V_a) == V_a and list(cac.V_b) == V_b
@@ -511,21 +562,42 @@ def _tracked_paths(monkeypatch):
 
 
 def test_t6_tracks_no_finite_circle(monkeypatch):
-    # one leg per critical value, then the loop at infinity: no finite circle
+    # one leg per critical value, the loop at infinity, then each endpoint's
+    # continuation from the q of its value's leg: no finite circle
     lengths = _tracked_paths(monkeypatch)
     md = monodromy(T6, -SQ3 / 2, SQ3 / 2)
-    assert lengths == [2, 2, 2 + mono.CIRCLE_SEGMENTS]
+    assert lengths == [2, 2, 2 + mono.CIRCLE_SEGMENTS, 2, 2]
     assert [list(g.images) for g in md.generators] == GOLDEN["T6"][0]
 
 
 def test_value_without_critical_point_needs_no_leg(monkeypatch):
     # z^2 on [1, -1]: P(1) = 1 is supplemented, no critical point lies over
-    # it, and its loop reads as the identity without any tracking
+    # it, and its loop reads as the identity without tracking its circle; its
+    # leg is tracked only to locate a and b
     lengths = _tracked_paths(monkeypatch)
     md = monodromy(ComplexPoly([0, 0, 1]), 1, -1)
     assert md.supplemented.count(True) == 1
     assert md.generators[md.supplemented.index(True)].is_identity()
-    assert lengths == [2, 2 + mono.CIRCLE_SEGMENTS]
+    assert lengths == [2, 2, 2 + mono.CIRCLE_SEGMENTS, 2, 2]
+
+
+@pytest.mark.parametrize(
+    "P, a, b", [(T6, -SQ3 / 2, SQ3 / 2), (ComplexPoly([0, 0, 1]), 1, -1)], ids=["T6", "z2"]
+)
+def test_no_path_from_basepoint_tracked_twice(monkeypatch, P, a, b):
+    # the k legs and the loop at infinity start at c; a and b are located by
+    # continuing the fibers at the ends of the legs, not tracked again from c
+    starts = []
+    real = mono.continue_branches
+
+    def spy(P, path, start, tol=Tolerances()):
+        starts.append(complex(path[0]))
+        return real(P, path, start, tol)
+
+    monkeypatch.setattr(mono, "continue_branches", spy)
+    md = build_instance(P, a, b).md
+    assert md.k == 2
+    assert starts.count(md.base_point) == md.k + 1
 
 
 def test_refused_reading_tracks_circle(monkeypatch):
@@ -541,5 +613,5 @@ def test_refused_reading_tracks_circle(monkeypatch):
     lengths = _tracked_paths(monkeypatch)
     md = monodromy(T6, -SQ3 / 2, SQ3 / 2)
     circle = 1 + mono.CIRCLE_SEGMENTS
-    assert lengths == [2, circle, 2, circle, 2 + mono.CIRCLE_SEGMENTS]
+    assert lengths == [2, circle, 2, circle, 2 + mono.CIRCLE_SEGMENTS, 2, 2]
     assert [list(g.images) for g in md.generators] == GOLDEN["T6"][0]
