@@ -16,10 +16,12 @@ point over it reads as the identity.  A reading that its
 isolation, angle and claim tests cannot certify falls back to tracking the
 circle and matching the fiber after it against the fiber at q; the loop at
 infinity is always tracked, so `check_relations` checks the readings
-independently.  An Euler predictor and a Newton corrector capped at 8
-updates act on the full fiber; a step whose predictor already moves a
-branch too far is halved before the corrector runs, the step doubles after
-an accepted step and halves after a rejected one, and P, P' and the
+independently.  A second-order Taylor predictor and a Newton corrector
+capped at 8 updates act on the full fiber; the corrector gives up at an
+update that fails to halve the one before.  A step whose predictor already
+moves some branch by more than 0.34 of that branch's own nearest-neighbour
+distance is halved before the corrector runs, the step doubles after an
+accepted step and halves after a rejected one, and P, P', P'' and the
 rounding floor come from one fused power-table kernel.  Branches are then
 relabeled so that the infinity permutation is exactly (1 2 ... n).
 
@@ -239,53 +241,70 @@ def critical_data(P: ComplexPoly, a: complex, b: complex, tol: Tolerances = Tole
 
 def _poly_arrays(P: ComplexPoly):
     c = np.array(P.coeffs)
-    return c, np.array(derivative(P).coeffs), np.abs(c)
+    dc = np.array(derivative(P).coeffs)
+    return c, dc, dc[1:] * np.arange(1, len(dc)), np.abs(c)
 
 
-def _power_sums(c, dc, ac, w, magnitude: bool = True):
-    """P(w), P'(w) and sum_j |c_j| |w|^j from one table of powers of w.
-
-    Row i of the table is 1, w_i, w_i^2, ...; the magnitude sum times eps
-    bounds the rounding error of P(w), so it sets the correctors' floor.
-    Newton updates only need P and P': magnitude=False returns None for it.
-    """
-    V = np.empty((len(w), len(c)), dtype=complex)
+def _power_table(w, m: int):
+    """Row i is 1, w_i, w_i^2, ..., w_i^(m-1)."""
+    V = np.empty((len(w), m), dtype=complex)
     V[:, 0] = 1.0
     V[:, 1:] = w[:, None]
     np.cumprod(V, axis=1, out=V)
-    return V @ c, V[:, :-1] @ dc, (np.abs(V) @ ac if magnitude else None)
+    return V
 
 
-def _min_sep(w) -> float:
+def _power_sums(c, dc, d2c, ac, w, magnitude: bool = True):
+    """P(w), P'(w), P''(w) and sum_j |c_j| |w|^j from one table of powers of w.
+
+    The magnitude sum times eps bounds the rounding error of P(w), so it sets
+    the correctors' floor; magnitude=False returns None for it.
+    """
+    V = _power_table(w, len(c))
+    return V @ c, V[:, :-1] @ dc, V[:, :-2] @ d2c, (np.abs(V) @ ac if magnitude else None)
+
+
+def _nearest(w):
+    """Each branch's distance to its nearest neighbour in the fiber w."""
     d = np.abs(w[:, None] - w[None, :])
     np.fill_diagonal(d, np.inf)
-    return float(d.min())
+    return d.min(axis=1)
 
 
 def _correct(arrays, z, w, tol_abs):
-    """Newton on P(w) = z for every branch: (w, P'(w), converged).
+    """Newton on P(w) = z for every branch: (w, P'(w), P''(w), converged).
 
     The tolerance tol_abs + 64 eps (sum_j |c_j| |w|^j + |z|) is taken at the
-    predictor; at most CORRECTOR_ITERS updates are made.
+    predictor.  At most CORRECTOR_ITERS updates are made, and none after an
+    update that fails to halve the one before it: that iterate is not in
+    Newton's quadratic basin, and a shorter step is cheaper than the rest of
+    the updates.  P'' is taken only from the table of the converged iterate.
     """
-    pv, dv, mag = _power_sums(*arrays, w)
-    tol = tol_abs + 64e-16 * (mag + abs(z))
-    for _ in range(CORRECTOR_ITERS):
-        r = pv - z
+    c, dc, d2c, ac = arrays
+    V = _power_table(w, len(c))
+    tol = tol_abs + 64e-16 * (np.abs(V) @ ac + abs(z))
+    last = np.inf
+    for it in range(CORRECTOR_ITERS + 1):
+        dv = V[:, :-1] @ dc
+        r = V @ c - z
         if (np.abs(r) <= tol).all():
-            return w, dv, True
-        if not dv.all():
-            return w, dv, False
-        w = w - r / dv
-        pv, dv, _ = _power_sums(*arrays, w, magnitude=False)
-    return w, dv, bool((np.abs(pv - z) <= tol).all())
+            return w, dv, V[:, :-2] @ d2c, True
+        if it == CORRECTOR_ITERS or not dv.all():
+            break
+        step = r / dv
+        size = float(np.max(np.abs(step)))
+        if size > 0.5 * last:
+            break
+        w, last = w - step, size
+        V = _power_table(w, len(c))
+    return w, dv, None, False
 
 
 def polish_fiber(P: ComplexPoly, z: complex, w):
     """Newton-polish approximate fiber values down to the machine floor."""
     arrays = _poly_arrays(P)
     w = np.array(w, dtype=complex)
-    pv, dv, mag = _power_sums(*arrays, w)
+    pv, dv, _, mag = _power_sums(*arrays, w)
     floor = 64e-16 * (mag + abs(z))
     for _ in range(40):
         if (np.abs(pv - z) <= floor).all():
@@ -294,8 +313,15 @@ def polish_fiber(P: ComplexPoly, z: complex, w):
         w = w - step
         if float(np.max(np.abs(step))) <= 1e-16 * float(np.max(np.abs(w)) + 1):
             break
-        pv, dv, _ = _power_sums(*arrays, w, magnitude=False)
+        pv, dv, _, _ = _power_sums(*arrays, w, magnitude=False)
     return w
+
+
+def _taylor(dv, d2v):
+    """The coefficients of w(z + dz) - w(z) = a1 dz + a2 dz^2 + O(dz^3) on
+    P(w) = z: a1 = w' = 1/P'(w) and a2 = w''/2 = -P''(w) a1^3 / 2."""
+    a1 = 1.0 / dv
+    return a1, -0.5 * d2v * a1 * a1 * a1
 
 
 def continue_branches(P: ComplexPoly, path, start, tol: Tolerances = Tolerances()):
@@ -305,22 +331,27 @@ def continue_branches(P: ComplexPoly, path, start, tol: Tolerances = Tolerances(
     first is `start` itself, the last the fiber at the end of the path.
 
     Each straight piece z0 -> z1 is stepped in its parameter t in [0, 1]:
-    Euler predictor (with P' of the last accepted fiber), then at most
-    CORRECTOR_ITERS Newton updates on every branch.  A step is rejected and
-    its length halved when any branch moves by more than a third of the
-    current minimal branch separation (which would make the implicit
-    matching ambiguous), tested first on the predictor, so the corrector
-    runs only on steps that pass, and again on the corrected fiber; it is
-    also rejected when the corrector misses the tolerance.  After an
-    accepted step the length grows by STEP_GROWTH.  Raises TrackingFailure
-    when halving bottoms out, which happens only if the path passes
-    essentially through a critical value.
+    second-order Taylor predictor dw = w' dz + w'' dz^2 / 2 (with P' and P''
+    of the last accepted fiber), then at most CORRECTOR_ITERS Newton updates
+    on every branch.  A step is rejected and its length halved when some
+    branch moves by more than 0.34 of its own nearest-neighbour distance in
+    the last accepted fiber, tested first on the predictor, so the corrector
+    runs only on steps that pass, and again on the corrected fiber: then
+    each new value is at least 1.9 times nearer its own predecessor than any
+    other predecessor, and each predecessor 1.9 times nearer its own
+    successor than any other, so the implicit matching is unambiguous.  A step is also
+    rejected when the corrector misses the tolerance or gives up, or when
+    the new fiber's minimal separation falls below a floor at the rounding
+    level of the coefficients.  After an accepted step the length grows by
+    STEP_GROWTH.  Raises TrackingFailure when halving bottoms out, which
+    happens only if the path passes essentially through a critical value.
     """
     arrays = _poly_arrays(P)
     sep_floor = 1e-12 * (1 + P.coeff_scale())
     w = np.array(start, dtype=complex)
-    _, dv, _ = _power_sums(*arrays, w, magnitude=False)
-    sep = _min_sep(w)
+    _, dv, d2v, _ = _power_sums(*arrays, w, magnitude=False)
+    a1, a2 = _taylor(dv, d2v)
+    reach = 0.34 * _nearest(w)
     fibers = [w]
     for seg in range(len(path) - 1):
         z0, z1 = complex(path[seg]), complex(path[seg + 1])
@@ -328,17 +359,19 @@ def continue_branches(P: ComplexPoly, path, start, tol: Tolerances = Tolerances(
         while t < 1.0:
             tb = min(t + h, 1.0)
             zb = z1 if tb == 1.0 else z0 + tb * (z1 - z0)
-            dw = (zb - za) / np.where(dv == 0, 1e-300, dv)
-            if float(np.max(np.abs(dw))) <= 0.34 * sep:
-                w_new, dv_new, ok = _correct(arrays, zb, w + dw, tol.track * (abs(zb) + 1.0))
-                if ok and float(np.max(np.abs(w_new - w))) <= 0.34 * sep:
-                    sep_new = _min_sep(w_new)
-                    if sep_new >= sep_floor:
-                        w, dv, sep = w_new, dv_new, sep_new
+            dz = zb - za
+            dw = dz * (a1 + a2 * dz)
+            if (np.abs(dw) <= reach).all():
+                w_new, dv_new, d2v_new, ok = _correct(arrays, zb, w + dw, tol.track * (abs(zb) + 1.0))
+                if ok and (np.abs(w_new - w) <= reach).all():
+                    near = _nearest(w_new)
+                    if near.min() >= sep_floor:
+                        w, reach = w_new, 0.34 * near
+                        a1, a2 = _taylor(dv_new, d2v_new)
                         t, za = tb, zb
                         h *= STEP_GROWTH
                         continue
-            if abs(zb - za) <= 1e-14 * (1.0 + abs(za) + abs(zb)):
+            if abs(dz) <= 1e-14 * (1.0 + abs(za) + abs(zb)):
                 raise TrackingFailure(
                     f"step control collapsed near z = {za:.6g}"
                 )
@@ -352,7 +385,7 @@ def _match_permutation(start, end) -> Permutation:
     start = np.asarray(start)
     end = np.asarray(end)
     n = len(start)
-    limit = _min_sep(start) / 3.0
+    limit = _nearest(start).min() / 3.0
     images = [0] * n
     used = set()
     for i in range(n):
@@ -624,19 +657,16 @@ def cactus_from_generators(
 def build_cactus(md: MonodromyData) -> Cactus:
     """The tree with a, b on the vertices in `md.ends`, tracked or induced.
     Each set must be a cycle of its color's permutation, the two vertices
-    must differ (else DegeneratePath), and the sets must be circularly
-    separated: disjointed when a, b share a color, at worst almost otherwise."""
+    must differ (else DegeneratePath), and the sets must not be entangled on
+    the circle.  When a, b share a color this means disjointed: two cycles of
+    one permutation share no branch, so they are never almost separated."""
     (s_a, Va), (s_b, Vb) = md.ends
     for s, V, label in ((s_a, Va, "a"), (s_b, Vb, "b")):
         if V not in {frozenset(cyc) for cyc in md.generators[s - 1].cycles()}:
             raise VertexMismatch(f"V({label}) = {sorted(V)} is not a cycle of color {s}")
     if s_a == s_b and Va == Vb:
         raise DegeneratePath("a and b landed on the same vertex")
-
-    sep = circular_separation(Va, Vb, md.n)
-    if s_a == s_b and sep != "disjointed":
-        raise VertexMismatch(f"V(a), V(b) must be disjointed, got {sep}")
-    if sep == "entangled":
+    if circular_separation(Va, Vb, md.n) == "entangled":
         raise VertexMismatch("V(a), V(b) are entangled on the circle")
     return cactus_from_generators(md.n, md.generators, (s_a, min(Va)), (s_b, min(Vb)))
 

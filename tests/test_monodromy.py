@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polymoment import monodromy as mono
@@ -23,7 +23,7 @@ from polymoment.monodromy import (
     tree_path,
     _lassos,
     _match_permutation,
-    _min_sep,
+    _nearest,
     _poly_arrays,
     _power_sums,
 )
@@ -147,9 +147,11 @@ def test_match_permutation_ambiguous():
 
 
 def test_predictor_rejects_before_corrector(monkeypatch):
-    # z^2 from 1 to 1000 in one piece: the first predictors move branch 1 by
-    # (z - 1)/2 against a separation of 2, so every step longer than 2^-10
-    # of the piece is halved before its corrector runs
+    # z^2 from 1 to 1000 in one piece, from w = +-1, each branch 2 from its
+    # nearest neighbour: the second-order predictor w + dz/(2w) - dz^2/(8w^3)
+    # moves each branch by |dz/2 - dz^2/8|, within 0.34 * 2 = 0.68 exactly
+    # when dz <= 2 + sqrt(9.44) = 5.07, so the steps 999 * 2^-k are halved
+    # down to k = 8 before the first corrector runs
     sq = ComplexPoly([0, 0, 1])
     calls = []
     real = mono._correct
@@ -162,14 +164,18 @@ def test_predictor_rejects_before_corrector(monkeypatch):
     monkeypatch.setattr(mono, "_correct", spy)
     end = continue_branches(sq, [1.0, 1000.0], [1.0, -1.0])[-1]
     assert np.allclose(end, [1000**0.5, -(1000**0.5)], rtol=1e-12)
-    assert calls[0][0] == 1.0 + 2.0**-10 * 999.0
+    dz = 2.0**-8 * 999.0
+    assert calls[0][0] == 1.0 + dz
+    assert np.allclose(calls[0][1], [1 + dz / 2 - dz**2 / 8, -1 - dz / 2 + dz**2 / 8])
     # replay the acceptance rule: every corrector call starts from a
-    # predictor within 0.34 sep of the last accepted fiber
+    # predictor that moves each branch within 0.34 of its own nearest-
+    # neighbour distance in the last accepted fiber, and a converged fiber
+    # is accepted when it stays within the same reach
     w = np.array([1.0, -1.0], dtype=complex)
-    for z, pred, (w_new, _, ok) in calls:
-        sep = _min_sep(w)
-        assert float(np.max(np.abs(pred - w))) <= 0.34 * sep, z
-        if ok and float(np.max(np.abs(w_new - w))) <= 0.34 * sep:
+    for z, pred, (w_new, _, _, ok) in calls:
+        reach = 0.34 * _nearest(w)
+        assert np.all(np.abs(pred - w) <= reach), z
+        if ok and np.all(np.abs(w_new - w) <= reach):
             w = w_new
     assert np.array_equal(w, end)
 
@@ -314,7 +320,7 @@ ENTANGLED = (from_cycles(6, [(1, 3), (2, 4)]), from_cycles(6, [(1, 3)]))
         (((1, {1, 3}), (1, {4, 5})), None, VertexMismatch, r"V\(a\) = \[1, 3\] is not a cycle"),
         (((1, {1, 2}), (2, {1, 2})), None, VertexMismatch, r"V\(b\) = \[1, 2\] is not a cycle"),
         (((1, {1, 2}), (1, {1, 2})), None, DegeneratePath, "same vertex"),
-        (((1, {1, 3}), (1, {2, 4})), ENTANGLED, VertexMismatch, "must be disjointed, got entangled"),
+        (((1, {1, 3}), (1, {2, 4})), ENTANGLED, VertexMismatch, "entangled on the circle"),
         (((1, {2, 4}), (2, {1, 3})), ENTANGLED, VertexMismatch, "entangled on the circle"),
     ],
     ids=["not_a_cycle_a", "not_a_cycle_b", "same_vertex", "one_color_entangled", "entangled"],
@@ -395,8 +401,9 @@ _points = st.lists(
 def test_power_sums_match_horner(coeffs, points):
     P = ComplexPoly(coeffs)
     dP = derivative(P)
+    d2P = derivative(dP)
     w = np.array([r * np.exp(1j * t) for r, t in points])
-    pv, dv, mag = _power_sums(*_poly_arrays(P), w)
+    pv, dv, d2v, mag = _power_sums(*_poly_arrays(P), w)
 
     def magnitude_sum(p):
         return sum(abs(c) * np.abs(w) ** j for j, c in enumerate(p.coeffs))
@@ -406,11 +413,13 @@ def test_power_sums_match_horner(coeffs, points):
     exact = magnitude_sum(P)
     assert np.all(np.abs(pv - eval_many(P, w)) <= 64e-16 * exact)
     assert np.all(np.abs(dv - eval_many(dP, w)) <= 64e-16 * magnitude_sum(dP))
+    assert np.all(np.abs(d2v - eval_many(d2P, w)) <= 64e-16 * magnitude_sum(d2P))
     # |w^j| from the power table vs |w|^j: equal up to j roundings
     assert np.all(np.abs(mag - exact) <= 4 * len(coeffs) * np.finfo(float).eps * exact)
-    # the Newton updates skip the magnitude sum and get the same P, P'
-    pv2, dv2, none = _power_sums(*_poly_arrays(P), w, magnitude=False)
+    # without the magnitude sum the same table gives the same P, P', P''
+    pv2, dv2, d2v2, none = _power_sums(*_poly_arrays(P), w, magnitude=False)
     assert none is None and np.array_equal(pv2, pv) and np.array_equal(dv2, dv)
+    assert np.array_equal(d2v2, d2v)
 
 
 def _composite_6x3():
@@ -468,6 +477,127 @@ def test_golden_monodromy(name):
     assert [list(g.images) for g in md.generators] == gens
     assert md.g_inf.images == full_cycle(P.degree).images
     assert list(cac.V_a) == V_a and list(cac.V_b) == V_b
+
+
+# corrector calls per monodromy() on the golden cases, at most the counts of
+# the per-branch, second-order step control; the global-separation Euler
+# tracker it replaced made 56, 67, 149 and 149
+CORRECTOR_CALLS = {"T6": 50, "T12": 52, "T24": 100, "C6x3": 112}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_corrector_calls_on_golden_cases(monkeypatch, name):
+    calls = []
+    real = mono._correct
+
+    def spy(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(mono, "_correct", spy)
+    monodromy(*_golden_case(name))
+    assert len(calls) <= CORRECTOR_CALLS[name]
+
+
+# ---------------------------------------------------------------------------
+# the tracker against the global-separation Euler tracker it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_track(P, path, start, tol=Tolerances()):
+    """Euler predictor with P' of the last accepted fiber; a step is taken
+    when every branch moves, before and after up to CORRECTOR_ITERS Newton
+    updates, by at most 0.34 of the fiber's minimal separation."""
+    arrays = _poly_arrays(P)
+
+    def correct(z, w):
+        pv, dv, _, mag = _power_sums(*arrays, w)
+        tol_z = tol.track * (abs(z) + 1.0) + 64e-16 * (mag + abs(z))
+        for _ in range(mono.CORRECTOR_ITERS):
+            if (np.abs(pv - z) <= tol_z).all() or not dv.all():
+                break
+            w = w - (pv - z) / dv
+            pv, dv, _, _ = _power_sums(*arrays, w, magnitude=False)
+        return w, dv, bool((np.abs(pv - z) <= tol_z).all())
+
+    sep_floor = 1e-12 * (1 + P.coeff_scale())
+    w = np.array(start, dtype=complex)
+    dv, sep = _power_sums(*arrays, w, magnitude=False)[1], _nearest(w).min()
+    fibers = [w]
+    for z0, z1 in zip(path, path[1:]):
+        t, h, za = 0.0, 1.0, z0
+        while t < 1.0:
+            tb = min(t + h, 1.0)
+            zb = z1 if tb == 1.0 else z0 + tb * (z1 - z0)
+            dw = (zb - za) / dv
+            if np.max(np.abs(dw)) <= 0.34 * sep:
+                w_new, dv_new, ok = correct(zb, w + dw)
+                if ok and np.max(np.abs(w_new - w)) <= 0.34 * sep:
+                    if _nearest(w_new).min() >= sep_floor:
+                        w, dv, sep = w_new, dv_new, _nearest(w_new).min()
+                        t, za, h = tb, zb, h * mono.STEP_GROWTH
+                        continue
+            if abs(zb - za) <= 1e-14 * (1.0 + abs(za) + abs(zb)):
+                raise TrackingFailure("reference step control collapsed")
+            h = 0.5 * (tb - t)
+        fibers.append(w)
+    return fibers
+
+
+def _distance_to_segment(v, p0, p1):
+    d = p1 - p0
+    t = 0.0 if d == 0 else min(max(((v - p0) * d.conjugate()).real / abs(d) ** 2, 0.0), 1.0)
+    return abs(p0 + t * d - v)
+
+
+# a waypoint is an anchor (the centroid of the critical values or one of
+# them) plus R 10^(e/100) e^(2 pi i j/64), R the spread of the values
+_waypoints = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(-250, 20), st.integers(0, 63)), min_size=2, max_size=10
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    decades=st.sampled_from([0.0, 3.0]),
+    coeffs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 2 * math.pi)),
+                    min_size=3, max_size=13),
+    waypoints=_waypoints,
+    closed=st.booleans(),
+)
+def test_tracker_matches_reference_tracker(decades, coeffs, waypoints, closed):
+    # P of degree 2..12 with |c_j| in 10^[-decades, decades], on paths that
+    # pass near the critical values but keep 1e-3 R away from every one;
+    # numpy's companion-matrix roots keep the fixture independent of
+    # poly.roots
+    P = ComplexPoly([10 ** (decades * m) * np.exp(1j * phi) for m, phi in coeffs])
+    values = [P(z) for z in np.roots(derivative(P).coeffs[::-1])]
+    ctr = sum(values) / len(values)
+    R = max(abs(v - ctr) for v in values) or 1.0
+    anchors = [ctr] + values
+    path = [anchors[k % len(anchors)] + R * 10 ** (e / 100) * np.exp(2j * np.pi * j / 64)
+            for k, e, j in waypoints]
+    if closed:
+        path.append(path[0])
+    assume(all(
+        _distance_to_segment(v, p0, p1) >= 1e-3 * R
+        for v in values for p0, p1 in zip(path, path[1:])
+    ))
+    start = polish_fiber(P, path[0], np.roots((P - path[0]).coeffs[::-1]))
+    ref = _reference_track(P, path, start)
+    fibers = continue_branches(P, path, start)
+    assert len(fibers) == len(ref)
+    # both fibers meet the corrector tolerance tol_z at z, so each branch is
+    # known to about tol_z / |P'(w)|: branch for branch they agree within
+    # 1e-8 of the fiber scale plus twice that accuracy, which dominates where
+    # P'(w) is small or |z| large
+    for z, w, w_ref in zip(path, fibers, ref):
+        _, dv, _, mag = _power_sums(*_poly_arrays(P), w_ref)
+        tol_z = Tolerances().track * (abs(z) + 1.0) + 64e-16 * (mag + abs(z))
+        bound = 1e-8 * (1.0 + np.max(np.abs(w_ref))) + 4.0 * tol_z / np.abs(dv)
+        assert np.all(np.abs(w - w_ref) <= bound), z
+    if closed:
+        assert _match_permutation(fibers[0], fibers[-1]) == _match_permutation(ref[0], ref[-1])
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN) + [f"random{s}" for s in range(8)])

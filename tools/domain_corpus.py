@@ -57,23 +57,22 @@ def _alarm(signum, frame):
     raise _Timeout
 
 
-def classify(P: ComplexPoly, a: complex, b: complex) -> str:
-    """The class of one input."""
+def build(P: ComplexPoly, a: complex, b: complex):
+    """The class of one input and its instance (None unless `ok`)."""
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(TIMEOUT_S)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            build_instance(P, a, b)
-        return "ok"
+            return "ok", build_instance(P, a, b)
     except _Timeout:
-        return "timeout"
+        return "timeout", None
     except MomentProblemError as exc:
-        return type(exc).__name__
+        return type(exc).__name__, None
     except RuntimeWarning:
-        return "RuntimeWarning"
+        return "RuntimeWarning", None
     except Exception as exc:
-        return f"untyped:{type(exc).__name__}"
+        return f"untyped:{type(exc).__name__}", None
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -82,7 +81,7 @@ def classify(P: ComplexPoly, a: complex, b: complex) -> str:
 def main() -> int:
     counts = Counter()
     for _, scale, P, a, b in inputs():
-        counts[scale, classify(P, a, b)] += 1
+        counts[scale, build(P, a, b)[0]] += 1
     for (scale, cls), count in sorted(counts.items()):
         print(json.dumps({"scale": scale, "class": cls, "count": count}))
     return 0
